@@ -1,8 +1,8 @@
 //! E10 — worker scaling of the parallel batch engine (`ft-batch`): the same
 //! generated 16-tree batch analysed end to end at 1, 2, 4 and 8 workers.
 //! Speedup above 1× at 4 workers requires real hardware parallelism; the
-//! per-tree algorithm is the deterministic sequential portfolio, so the
-//! worker pool is the only variable.
+//! per-tree algorithm is the deterministic default OLL, so the worker pool
+//! is the only variable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -7,11 +7,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ft_generators::Family;
-use mpmcs::{AlgorithmChoice, MpmcsOptions, MpmcsSolver};
+use mpmcs::{MpmcsOptions, MpmcsSolver};
 
 fn solver(incremental: bool) -> MpmcsSolver {
     MpmcsSolver::with_options(MpmcsOptions {
-        algorithm: AlgorithmChoice::SequentialPortfolio,
         incremental,
         ..MpmcsOptions::new()
     })

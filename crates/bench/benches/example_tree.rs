@@ -7,7 +7,7 @@ use std::hint::black_box;
 use fault_tree::examples::{
     fire_protection_system, pressure_tank_system, redundant_sensor_network,
 };
-use mpmcs::{AlgorithmChoice, MpmcsOptions, MpmcsSolver};
+use mpmcs::MpmcsSolver;
 
 fn bench_example(c: &mut Criterion) {
     let mut group = c.benchmark_group("example_tree");
@@ -19,10 +19,7 @@ fn bench_example(c: &mut Criterion) {
         ("pressure_tank_system", pressure_tank_system()),
         ("redundant_sensor_network", redundant_sensor_network()),
     ] {
-        let solver = MpmcsSolver::with_options(MpmcsOptions {
-            algorithm: AlgorithmChoice::SequentialPortfolio,
-            ..MpmcsOptions::new()
-        });
+        let solver = MpmcsSolver::new();
         group.bench_function(format!("encode/{name}"), |b| {
             b.iter(|| black_box(solver.encode(black_box(&tree))))
         });

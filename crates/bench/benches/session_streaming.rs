@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ft_generators::Family;
-use ft_session::{AlgorithmChoice, Analyzer};
+use ft_session::Analyzer;
 
 fn bench_session_streaming(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_streaming");
@@ -23,8 +23,7 @@ fn bench_session_streaming(c: &mut Criterion) {
                 &tree,
                 |b, tree| {
                     b.iter(|| {
-                        let analyzer = Analyzer::for_tree(black_box(tree.clone()))
-                            .algorithm(AlgorithmChoice::SequentialPortfolio);
+                        let analyzer = Analyzer::for_tree(black_box(tree.clone()));
                         let prefix: Vec<_> = analyzer.stream().take(PREFIX).collect();
                         black_box(prefix)
                     });
@@ -35,8 +34,7 @@ fn bench_session_streaming(c: &mut Criterion) {
                 &tree,
                 |b, tree| {
                     b.iter(|| {
-                        let mut analyzer = Analyzer::for_tree(black_box(tree.clone()))
-                            .algorithm(AlgorithmChoice::SequentialPortfolio);
+                        let mut analyzer = Analyzer::for_tree(black_box(tree.clone()));
                         black_box(analyzer.top_k(15).expect("generated trees have cut sets"))
                     });
                 },

@@ -44,7 +44,6 @@ pub const BASELINE_SIZES: &[usize] = &[50, 100, 250, 500, 1000, 2000];
 pub fn algorithm_line_up() -> Vec<(&'static str, AlgorithmChoice)> {
     vec![
         ("portfolio", AlgorithmChoice::Portfolio),
-        ("sequential", AlgorithmChoice::SequentialPortfolio),
         ("oll", AlgorithmChoice::Oll),
         ("linear-su", AlgorithmChoice::LinearSu),
     ]
@@ -255,7 +254,7 @@ pub fn baselines(sizes: &[usize], seed: u64) -> String {
 pub fn portfolio(sizes: &[usize], seed: u64) -> String {
     let mut out = String::new();
     out.push_str("# E4 — parallel portfolio vs single solver configurations\n");
-    out.push_str("family        target  portfolio_ms  sequential_ms  oll_ms     linear_su_ms\n");
+    out.push_str("family        target  portfolio_ms  oll_ms     linear_su_ms\n");
     for family in [Family::RandomMixed, Family::AndHeavy] {
         for &size in sizes {
             let tree = family.generate(size, seed);
@@ -273,13 +272,12 @@ pub fn portfolio(sizes: &[usize], seed: u64) -> String {
                 "all algorithms must agree on the optimum"
             );
             out.push_str(&format!(
-                "{:<13} {:<7} {:<13.2} {:<14.2} {:<10.2} {:<10.2}\n",
+                "{:<13} {:<7} {:<13.2} {:<10.2} {:<10.2}\n",
                 family.name(),
                 size,
                 ms(times[0]),
                 ms(times[1]),
-                ms(times[2]),
-                ms(times[3])
+                ms(times[2])
             ));
         }
     }
@@ -568,7 +566,7 @@ pub struct BatchScalingRow {
 /// E10 — worker scaling of the parallel batch engine: one batch of
 /// `num_trees` generated trees (target `nodes` total nodes each), analysed
 /// end to end at each worker count of `jobs_sweep`. The deterministic
-/// sequential-portfolio algorithm is used per tree, so the only variable is
+/// default OLL algorithm is used per tree, so the only variable is
 /// the outer worker pool. The first sweep entry is the speedup baseline, so
 /// start the sweep at 1 worker for classic `t_1 / t_n` scaling curves.
 pub fn batch_scaling_rows(
@@ -608,7 +606,7 @@ pub fn batch_scaling_rows(
 pub fn batch_scaling(num_trees: usize, nodes: usize, jobs_sweep: &[usize], seed: u64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "# E10 — batch engine worker scaling ({num_trees} × ~{nodes}-node trees, sequential portfolio per tree)\n"
+        "# E10 — batch engine worker scaling ({num_trees} × ~{nodes}-node trees, OLL per tree)\n"
     ));
     out.push_str("jobs    wall_ms    speedup  sat_calls\n");
     for row in batch_scaling_rows(num_trees, nodes, jobs_sweep, seed) {
@@ -656,13 +654,8 @@ pub fn enumeration_scaling_rows(
     k: usize,
     seed: u64,
 ) -> Vec<EnumerationScalingRow> {
-    let incremental_solver = MpmcsSolver::with_options(MpmcsOptions {
-        algorithm: AlgorithmChoice::SequentialPortfolio,
-        incremental: true,
-        ..MpmcsOptions::new()
-    });
+    let incremental_solver = MpmcsSolver::new();
     let scratch_solver = MpmcsSolver::with_options(MpmcsOptions {
-        algorithm: AlgorithmChoice::SequentialPortfolio,
         incremental: false,
         ..MpmcsOptions::new()
     });
@@ -963,8 +956,7 @@ pub fn session_streaming_rows(
     for family in [Family::RandomMixed, Family::OrHeavy] {
         for &size in sizes {
             let tree = family.generate(size, seed);
-            let mut collected_analyzer =
-                Analyzer::for_tree(tree.clone()).algorithm(AlgorithmChoice::SequentialPortfolio);
+            let mut collected_analyzer = Analyzer::for_tree(tree.clone());
             let (collected, collected_time) = timed(|| {
                 collected_analyzer
                     .top_k(k)
@@ -975,8 +967,7 @@ pub fn session_streaming_rows(
                 .iter()
                 .map(|s| s.stats.as_ref().map_or(0, |stats| stats.sat_calls))
                 .sum();
-            let stream_analyzer =
-                Analyzer::for_tree(tree).algorithm(AlgorithmChoice::SequentialPortfolio);
+            let stream_analyzer = Analyzer::for_tree(tree);
             let ((streamed, stream_sat_calls), stream_time) = timed(|| {
                 let mut stream = stream_analyzer.stream();
                 let mut out = Vec::new();
@@ -1347,10 +1338,7 @@ pub fn hot_path_rows(
             ));
         }
     }
-    let solver = MpmcsSolver::with_options(MpmcsOptions {
-        algorithm: AlgorithmChoice::SequentialPortfolio,
-        ..MpmcsOptions::new()
-    });
+    let solver = MpmcsSolver::new();
     for family in [Family::RandomMixed, Family::OrHeavy, Family::SharedDag] {
         for &size in topk_sizes {
             let tree = family.generate(size, seed);
@@ -1388,7 +1376,6 @@ pub fn assert_hot_path_equivalence(seed: u64) {
     let tree = Family::RandomMixed.generate(120, seed);
     let answers = |branching: BranchingChoice| {
         MpmcsSolver::with_options(MpmcsOptions {
-            algorithm: AlgorithmChoice::SequentialPortfolio,
             branching,
             ..MpmcsOptions::new()
         })

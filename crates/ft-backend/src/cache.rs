@@ -930,13 +930,22 @@ mod tests {
     #[test]
     fn the_byte_budget_evicts_least_recently_used_entries() {
         let tree = fire_protection_system();
-        // A budget so small every shard holds at most one tiny family.
+        // A budget so small every shard holds at most one top-4 family.
         let cache = Arc::new(AnalysisCache::new(SHARDS * 400));
-        let backend = cached(BackendKind::Bdd, &tree, &cache);
-        for k in 1..=24 {
-            backend.top_k(&tree, k).expect("solvable");
+        // One more equal-sized answer than there are shards (distinct
+        // configuration fingerprints key them apart), so whatever the hash
+        // placement, two of them share a shard and the older is evicted.
+        for fingerprint in 0..=SHARDS as u64 {
+            let inner = Box::new(crate::BddBackend::new(
+                bdd_engine::VariableOrdering::DepthFirst,
+                1_000_000,
+            ));
+            CachedBackend::new(inner, Arc::clone(&cache), fingerprint)
+                .top_k(&tree, 4)
+                .expect("solvable");
         }
         let stats = cache.stats();
+        assert_eq!(stats.insertions, SHARDS as u64 + 1, "{stats:?}");
         assert!(stats.evictions > 0, "tiny budget must evict: {stats:?}");
         assert!(stats.bytes <= stats.capacity);
     }

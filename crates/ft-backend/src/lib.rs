@@ -149,7 +149,7 @@ pub struct BackendConfig {
 impl Default for BackendConfig {
     fn default() -> Self {
         BackendConfig {
-            algorithm: AlgorithmChoice::SequentialPortfolio,
+            algorithm: AlgorithmChoice::Oll,
             branching: BranchingChoice::Vsids,
             bdd_ordering: VariableOrdering::DepthFirst,
             mocus_budget: 1_000_000,

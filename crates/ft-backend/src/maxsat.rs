@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn maxsat_backend_reproduces_the_solver_pipeline() {
         let tree = fire_protection_system();
-        let backend = MaxSatBackend::new(AlgorithmChoice::SequentialPortfolio, 20);
+        let backend = MaxSatBackend::new(AlgorithmChoice::Oll, 20);
         let best = backend.mpmcs(&tree).expect("solvable");
         assert_eq!(best.event_names(&tree), vec!["x1", "x2"]);
         assert!(best.stats.is_some(), "MaxSAT runs carry solver statistics");

@@ -16,10 +16,6 @@ use crate::report::{
     BatchReport, BatchSummary, CacheSummary, ImportanceRow, SweepCurve, TreeReport,
 };
 
-/// How many minimal cut sets the importance pre-computation (MOCUS) may
-/// enumerate per tree before the importance table is skipped for that tree.
-const MOCUS_BUDGET: usize = 50_000;
-
 /// Configuration of a batch run.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
@@ -30,15 +26,15 @@ pub struct BatchConfig {
     /// MPMCS).
     pub top_k: usize,
     /// The MaxSAT strategy used for every tree. The default is the
-    /// *sequential* portfolio: parallelism then comes entirely from the
-    /// worker pool (one tree per thread), which keeps per-tree results
+    /// deterministic core-guided OLL: parallelism then comes entirely from
+    /// the worker pool (one tree per thread), which keeps per-tree results
     /// bit-identical for any worker count.
     pub algorithm: AlgorithmChoice,
     /// The SAT decision heuristic used by the MaxSAT backend's solvers.
     pub branching: BranchingChoice,
     /// Also compute the Birnbaum / Fussell-Vesely / criticality importance
-    /// table per tree (needs cut-set enumeration; skipped for trees whose
-    /// cut-set count exceeds an internal budget).
+    /// table per tree (needs the MOCUS cut-set enumeration; skipped for trees
+    /// that exceed [`BackendConfig::mocus_budget`](ft_backend::BackendConfig)).
     pub importance: bool,
     /// Attach the detailed solver statistics block (conflicts, propagations,
     /// restarts, learnt-clause reuse, session counters) to every reported cut
@@ -84,7 +80,7 @@ impl Default for BatchConfig {
         BatchConfig {
             jobs: 0,
             top_k: 1,
-            algorithm: AlgorithmChoice::SequentialPortfolio,
+            algorithm: AlgorithmChoice::Oll,
             branching: BranchingChoice::Vsids,
             importance: false,
             stats: false,
@@ -211,7 +207,6 @@ pub fn run_batch(manifest: &BatchManifest, config: &BatchConfig) -> BatchReport 
 fn algorithm_name(algorithm: AlgorithmChoice) -> &'static str {
     match algorithm {
         AlgorithmChoice::Portfolio => "portfolio",
-        AlgorithmChoice::SequentialPortfolio => "sequential",
         AlgorithmChoice::Oll => "oll",
         AlgorithmChoice::LinearSu => "linear-su",
     }
@@ -272,7 +267,7 @@ fn analyze_job(job: &BatchJob, config: &BatchConfig) -> TreeReport {
                 .map(|solution| solution.to_report(analyzer.tree(), config.stats))
                 .collect();
             if config.importance {
-                report.importance = importance_rows(analyzer.tree(), config.bdd_ordering);
+                report.importance = importance_rows(analyzer.shared_tree(), config.bdd_ordering);
             }
             if let Some(grid) = &config.sweep {
                 match analyzer.sweep(grid) {
@@ -307,25 +302,24 @@ fn analyze_job(job: &BatchJob, config: &BatchConfig) -> TreeReport {
     report
 }
 
-/// Computes the importance table, or `None` when cut-set enumeration blows
-/// the budget (large OR-heavy trees) — the batch row stays usable either way.
-fn importance_rows(tree: &FaultTree, ordering: VariableOrdering) -> Option<Vec<ImportanceRow>> {
-    let cut_sets = ft_analysis::mocus::Mocus::with_budget(tree, MOCUS_BUDGET)
-        .minimal_cut_sets()
+/// Computes the importance table through the facade on the MOCUS engine, or
+/// `None` when its cut-set enumeration blows the budget (large OR-heavy
+/// trees) — the batch row stays usable either way.
+fn importance_rows(tree: Arc<FaultTree>, ordering: VariableOrdering) -> Option<Vec<ImportanceRow>> {
+    let report = Analyzer::for_shared(tree)
+        .backend(BackendKind::Mocus)
+        .bdd_ordering(ordering)
+        .importance()
         .ok()?;
-    let exact =
-        |t: &FaultTree| bdd_engine::compile_fault_tree(t, ordering).top_event_probability(t);
-    let table = ft_analysis::importance::ImportanceTable::compute(tree, &cut_sets, exact);
     Some(
-        tree.event_ids()
-            .map(|event| {
-                let i = event.index();
-                ImportanceRow {
-                    event: tree.event(event).name().to_string(),
-                    birnbaum: table.birnbaum[i],
-                    fussell_vesely: table.fussell_vesely[i],
-                    criticality: table.criticality[i],
-                }
+        report
+            .rows
+            .into_iter()
+            .map(|row| ImportanceRow {
+                event: row.event,
+                birnbaum: row.birnbaum,
+                fussell_vesely: row.fussell_vesely,
+                criticality: row.criticality,
             })
             .collect(),
     )

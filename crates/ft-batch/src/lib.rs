@@ -16,7 +16,7 @@
 //!   enumeration and importance measures) on each tree;
 //! * the aggregated [`BatchReport`] is **deterministic**: per-tree results
 //!   appear in manifest order regardless of worker completion order, and with
-//!   the default (sequential-portfolio) algorithm the same batch produces the
+//!   the default (deterministic OLL) algorithm the same batch produces the
 //!   same report for any worker count — timing fields excepted, which
 //!   [`redact_timings`] normalises away for byte-level comparisons.
 //!

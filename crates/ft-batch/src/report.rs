@@ -379,7 +379,7 @@ mod tests {
                 failed: 1,
                 jobs: 4,
                 top_k: 1,
-                algorithm: "sequential".to_string(),
+                algorithm: "oll".to_string(),
                 backend: "maxsat".to_string(),
                 total_events: 7,
                 total_cut_sets: 1,

@@ -17,8 +17,8 @@ use fault_tree::FaultTree;
 use ft_backend::scaled_cut_cost;
 use ft_session::report;
 use ft_session::{
-    AlgorithmChoice, Analyzer, BackendKind, BackendSolution, Budget, SessionError, SolutionStream,
-    SweepRange, Termination,
+    Analyzer, BackendKind, BackendSolution, Budget, SessionError, SolutionStream, SweepRange,
+    Termination,
 };
 use serde_json::json;
 
@@ -142,14 +142,13 @@ fn query_spec(request: &Request) -> Result<QuerySpec, Response> {
     })
 }
 
-/// Builds the per-request analyzer. The server always runs the
-/// deterministic sequential portfolio so that answers are reproducible
-/// and byte-comparable across front ends.
+/// Builds the per-request analyzer. The server runs the facade's default,
+/// deterministic OLL strategy — the CLI's default too — so answers are
+/// reproducible and byte-comparable across front ends.
 fn analyzer_for(shared: &Shared, tree: &Arc<FaultTree>, spec: &QuerySpec) -> Analyzer {
     let mut analyzer = Analyzer::for_shared(Arc::clone(tree))
         .backend(spec.backend)
         .preprocess(spec.preprocess)
-        .algorithm(AlgorithmChoice::SequentialPortfolio)
         .budget(Budget::from_limits(spec.timeout_ms, spec.max_solutions))
         .cancel_token(shared.cancel.clone());
     if let Some(cache) = shared.service.shared_cache() {

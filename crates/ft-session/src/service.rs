@@ -6,7 +6,6 @@ use std::sync::{Arc, RwLock};
 use bdd_engine::VariableOrdering;
 use fault_tree::FaultTree;
 use ft_backend::{AnalysisCache, BackendKind, Budget, CacheStats};
-use mpmcs::AlgorithmChoice;
 
 use crate::analyzer::Analyzer;
 use crate::results::{SessionError, SolutionSet};
@@ -18,8 +17,6 @@ pub struct ServiceConfig {
     pub backend: BackendKind,
     /// Run the modular divide-and-conquer preprocessing pass.
     pub preprocess: bool,
-    /// The MaxSAT strategy for delegated single-shot queries.
-    pub algorithm: AlgorithmChoice,
     /// The BDD variable ordering.
     pub bdd_ordering: VariableOrdering,
     /// The per-query budget every stamped analyzer starts with.
@@ -31,9 +28,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             backend: BackendKind::MaxSat,
             preprocess: false,
-            // Deterministic by default: a service answering the same query
-            // on two threads must give byte-identical answers.
-            algorithm: AlgorithmChoice::SequentialPortfolio,
             bdd_ordering: VariableOrdering::DepthFirst,
             budget: Budget::unlimited(),
         }
@@ -235,7 +229,6 @@ impl AnalysisService {
         let mut analyzer = Analyzer::for_shared(tree)
             .backend(self.config.backend)
             .preprocess(self.config.preprocess)
-            .algorithm(self.config.algorithm)
             .bdd_ordering(self.config.bdd_ordering)
             .budget(self.config.budget);
         if let Some(cache) = &self.cache {

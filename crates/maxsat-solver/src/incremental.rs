@@ -43,9 +43,8 @@ const COMPACTION_CORE_BUDGET: u64 = 64;
 /// sequence of optima, with hard clauses accepted between
 /// [`solve`](IncrementalMaxSat::solve) calls.
 ///
-/// Created directly via [`IncrementalMaxSat::new`] /
-/// [`IncrementalMaxSat::with_config`], or through
-/// [`PortfolioSolver::incremental`](crate::PortfolioSolver::incremental).
+/// Created via [`IncrementalMaxSat::new`], [`IncrementalMaxSat::with_config`]
+/// or [`IncrementalMaxSat::owned`].
 ///
 /// Soundness rests on two standard properties of OLL/RC2: the core
 /// reformulation (totalizer counting + weight splitting) is cost-preserving

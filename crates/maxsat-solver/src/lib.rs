@@ -24,7 +24,7 @@
 //! sweeps), [`IncrementalMaxSat`] keeps one solver session alive across
 //! queries: hard clauses may be added between optima, and every call resumes
 //! from the learnt clauses, activities and phases the previous calls paid
-//! for. [`PortfolioSolver::incremental`] opens such a session.
+//! for. [`OllSolver`] is the first call of such a session.
 //!
 //! # Example
 //!

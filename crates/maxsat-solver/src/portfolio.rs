@@ -13,7 +13,6 @@ use std::thread;
 
 use sat_solver::{BranchingChoice, SolverConfig};
 
-use crate::incremental::IncrementalMaxSat;
 use crate::instance::WcnfInstance;
 use crate::linear::{LinearSuConfig, LinearSuSolver};
 use crate::oll::{OllConfig, OllSolver};
@@ -21,23 +20,12 @@ use crate::result::{MaxSatOutcome, MaxSatResult, MaxSatStats};
 use crate::MaxSatAlgorithm;
 
 /// One competitor in the portfolio.
+#[derive(Clone, Debug)]
 pub enum PortfolioEntry {
     /// A core-guided OLL solver.
     Oll(OllConfig),
     /// A linear SAT–UNSAT solver.
     LinearSu(LinearSuConfig),
-    /// Any other boxed algorithm.
-    Custom(Box<dyn MaxSatAlgorithm + Send + Sync>),
-}
-
-impl std::fmt::Debug for PortfolioEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PortfolioEntry::Oll(_) => write!(f, "PortfolioEntry::Oll"),
-            PortfolioEntry::LinearSu(_) => write!(f, "PortfolioEntry::LinearSu"),
-            PortfolioEntry::Custom(c) => write!(f, "PortfolioEntry::Custom({})", c.name()),
-        }
-    }
 }
 
 /// Configuration of the [`PortfolioSolver`].
@@ -45,32 +33,24 @@ impl std::fmt::Debug for PortfolioEntry {
 pub struct PortfolioConfig {
     /// The competing solver configurations.
     pub entries: Vec<PortfolioEntry>,
-    /// Deterministic mode: run every entry sequentially on the calling
-    /// thread, in declaration order, and pick the winner by `(cost,
-    /// declaration order)` instead of by wall-clock arrival. Used for
-    /// reproducible traces, regression tests and debugging.
-    pub sequential: bool,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             entries: default_entries(),
-            sequential: false,
         }
     }
 }
 
 impl PortfolioConfig {
     /// Applies one branching heuristic to every entry's SAT configuration.
-    /// Custom entries own their solvers and are left untouched.
     #[must_use]
     pub fn with_branching(mut self, branching: BranchingChoice) -> Self {
         for entry in &mut self.entries {
             match entry {
                 PortfolioEntry::Oll(config) => config.sat_config.branching = branching,
                 PortfolioEntry::LinearSu(config) => config.sat_config.branching = branching,
-                PortfolioEntry::Custom(_) => {}
             }
         }
         self
@@ -107,6 +87,10 @@ pub fn default_entries() -> Vec<PortfolioEntry> {
 }
 
 /// A parallel first-to-finish portfolio of MaxSAT solvers.
+///
+/// Which entry wins depends on thread timing, so on instances with several
+/// optimal models two runs may report different (equally optimal) models.
+/// Callers that need reproducible answers use [`OllSolver`] directly.
 #[derive(Debug, Default)]
 pub struct PortfolioSolver {
     config: PortfolioConfig,
@@ -116,39 +100,6 @@ impl PortfolioSolver {
     /// Creates a portfolio with the given configuration.
     pub fn new(config: PortfolioConfig) -> Self {
         PortfolioSolver { config }
-    }
-
-    /// Creates a portfolio that runs the default entries sequentially on the
-    /// calling thread (deterministic, single-threaded).
-    pub fn sequential() -> Self {
-        PortfolioSolver {
-            config: PortfolioConfig {
-                entries: default_entries(),
-                sequential: true,
-            },
-        }
-    }
-
-    /// Incremental mode: a persistent [`IncrementalMaxSat`] session over
-    /// `instance` for repeated-query workloads (top-k enumeration, what-if
-    /// sweeps). The session is backed by the portfolio's first *core-guided*
-    /// entry (or the default OLL configuration when the portfolio has none)
-    /// — the incremental reformulation is OLL-specific, so non-core-guided
-    /// entries are skipped. Each incremental optimum has the same cost as a
-    /// fresh solve of the grown instance; on instances with several optimal
-    /// models the reported model is the OLL entry's, which may differ from
-    /// the model another entry would crown.
-    pub fn incremental<'a>(&self, instance: &'a WcnfInstance) -> IncrementalMaxSat<'a> {
-        let config = self
-            .config
-            .entries
-            .iter()
-            .find_map(|entry| match entry {
-                PortfolioEntry::Oll(config) => Some(config.clone()),
-                _ => None,
-            })
-            .unwrap_or_default();
-        IncrementalMaxSat::with_config(instance, config)
     }
 
     fn run_entry(
@@ -163,7 +114,6 @@ impl PortfolioSolver {
             PortfolioEntry::LinearSu(config) => {
                 LinearSuSolver::new(config.clone()).solve_with_stop(instance, stop)
             }
-            PortfolioEntry::Custom(solver) => solver.solve_with_stop(instance, stop),
         }
     }
 }
@@ -183,98 +133,26 @@ impl MaxSatAlgorithm for PortfolioSolver {
                 },
             });
         }
-        if self.config.sequential || self.config.entries.len() == 1 {
-            // Deterministic mode: every entry runs to completion on the
-            // calling thread, in declaration order, and the winner is chosen
-            // by (cost, declaration order) — never by timing. Two runs over
-            // the same instance therefore return the same optimum AND the
-            // same model, which the parallel race cannot promise.
-            let mut winner: Option<MaxSatResult> = None;
-            let mut total_sat_calls = 0u64;
-            let mut total_conflicts = 0u64;
-            let mut total_propagations = 0u64;
-            let mut total_restarts = 0u64;
-            let mut total_learnt_reused = 0u64;
-            let mut total_inprocess_rounds = 0u64;
-            let mut total_inprocess_strengthened = 0u64;
-            let mut total_inprocess_removed = 0u64;
-            let mut total_arena_compactions = 0u64;
-            for entry in &self.config.entries {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Some(result) = Self::run_entry(entry, instance, stop) else {
-                    continue;
-                };
-                total_sat_calls += result.stats.sat_calls;
-                total_conflicts += result.stats.conflicts;
-                total_propagations += result.stats.propagations;
-                total_restarts += result.stats.restarts;
-                total_learnt_reused += result.stats.learnt_reused;
-                total_inprocess_rounds += result.stats.inprocess_rounds;
-                total_inprocess_strengthened += result.stats.inprocess_strengthened;
-                total_inprocess_removed += result.stats.inprocess_removed;
-                total_arena_compactions += result.stats.arena_compactions;
-                if result.outcome == MaxSatOutcome::Unsatisfiable {
-                    // Hard-clause unsatisfiability is a property of the
-                    // instance; no later entry can answer differently.
-                    winner = Some(result);
-                    break;
-                }
-                let improves = match &winner {
-                    None => true,
-                    Some(best) => result.outcome.cost() < best.outcome.cost(),
-                };
-                if improves {
-                    winner = Some(result);
-                }
-            }
-            let mut result = winner?;
-            result.stats.algorithm = format!("portfolio[{}]", result.stats.algorithm);
-            // The reported wall time spans every entry that ran, so report
-            // the SAT-level work totals over the same span (the convention
-            // the OLL fallback in linear.rs also follows).
-            result.stats.sat_calls = total_sat_calls;
-            result.stats.conflicts = total_conflicts;
-            result.stats.propagations = total_propagations;
-            result.stats.restarts = total_restarts;
-            result.stats.learnt_reused = total_learnt_reused;
-            result.stats.inprocess_rounds = total_inprocess_rounds;
-            result.stats.inprocess_strengthened = total_inprocess_strengthened;
-            result.stats.inprocess_removed = total_inprocess_removed;
-            result.stats.arena_compactions = total_arena_compactions;
-            return Some(result);
-        }
 
         let shared_stop = Arc::new(AtomicBool::new(false));
         let instance = Arc::new(instance.clone());
         let (sender, receiver) = mpsc::channel::<Option<MaxSatResult>>();
-        let mut handles = Vec::new();
-        for entry in &self.config.entries {
-            // Portfolio entries are rebuilt per thread from their configs so
-            // that each thread owns its solver.
-            let entry: PortfolioEntry = match entry {
-                PortfolioEntry::Oll(c) => PortfolioEntry::Oll(c.clone()),
-                PortfolioEntry::LinearSu(c) => PortfolioEntry::LinearSu(c.clone()),
-                PortfolioEntry::Custom(_) => continue,
-            };
-            let instance = Arc::clone(&instance);
-            let shared_stop = Arc::clone(&shared_stop);
-            let sender = sender.clone();
-            handles.push(thread::spawn(move || {
-                let result = Self::run_entry(&entry, &instance, &shared_stop);
-                let _ = sender.send(result);
-            }));
-        }
-        // Custom entries cannot be cloned into threads; run them on the
-        // calling thread after spawning the others (they still race through
-        // the shared stop flag).
-        for entry in &self.config.entries {
-            if let PortfolioEntry::Custom(solver) = entry {
-                let result = solver.solve_with_stop(&instance, &shared_stop);
-                let _ = sender.send(result);
-            }
-        }
+        let handles: Vec<_> = self
+            .config
+            .entries
+            .iter()
+            .map(|entry| {
+                // Each thread owns a copy of its entry's configuration.
+                let entry = entry.clone();
+                let instance = Arc::clone(&instance);
+                let shared_stop = Arc::clone(&shared_stop);
+                let sender = sender.clone();
+                thread::spawn(move || {
+                    let result = Self::run_entry(&entry, &instance, &shared_stop);
+                    let _ = sender.send(result);
+                })
+            })
+            .collect();
         drop(sender);
 
         let mut winner: Option<MaxSatResult> = None;
@@ -302,6 +180,7 @@ impl MaxSatAlgorithm for PortfolioSolver {
 mod tests {
     use super::*;
     use crate::tests_support::{brute_force_optimum, random_instance};
+    use crate::IncrementalMaxSat;
     use sat_solver::{Lit, Var};
 
     fn pos(i: usize) -> Lit {
@@ -309,6 +188,12 @@ mod tests {
     }
     fn neg(i: usize) -> Lit {
         Lit::negative(Var::from_index(i))
+    }
+
+    /// Runs one entry on its own, outside the race.
+    fn run_alone(entry: &PortfolioEntry, instance: &WcnfInstance) -> MaxSatResult {
+        PortfolioSolver::run_entry(entry, instance, &AtomicBool::new(false))
+            .expect("an entry that is never stopped finishes")
     }
 
     #[test]
@@ -323,25 +208,29 @@ mod tests {
         assert!(result.stats.algorithm.starts_with("portfolio["));
     }
 
+    /// The deterministic route is the portfolio's lead entry run on its
+    /// own: default OLL, returning the same answer on every run.
     #[test]
     fn sequential_mode_is_deterministic() {
         let mut inst = WcnfInstance::with_vars(2);
         inst.add_hard([pos(0), pos(1)]);
         inst.add_soft([neg(0)], 2);
         inst.add_soft([neg(1)], 1);
-        let a = PortfolioSolver::sequential().solve(&inst);
-        let b = PortfolioSolver::sequential().solve(&inst);
+        let lead = run_alone(&default_entries()[0], &inst);
+        let a = OllSolver::default().solve(&inst);
+        let b = OllSolver::default().solve(&inst);
         assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.outcome, lead.outcome);
         assert_eq!(a.outcome.cost(), Some(1));
     }
 
-    /// Regression test: the deterministic mode must return identical optima
-    /// AND identical models across runs, even when the instance has several
-    /// optimal models that the racing parallel entries could disagree on.
+    /// Run one at a time, every entry returns the identical optimum AND
+    /// model on every run, even when the instance has several optimal
+    /// models; only the race's thread timing can pick between them.
     #[test]
     fn sequential_mode_returns_identical_optima_and_model_order() {
         // x0 ∨ x1 with symmetric soft clauses: [true,false] and [false,true]
-        // are both optimal at cost 5, so a timing race could return either.
+        // are both optimal at cost 5.
         let mut symmetric = WcnfInstance::with_vars(2);
         symmetric.add_hard([pos(0), pos(1)]);
         symmetric.add_soft([neg(0)], 5);
@@ -352,93 +241,44 @@ mod tests {
             instances.push(random_instance(seed, 7, 10, 5));
         }
         for (index, inst) in instances.iter().enumerate() {
-            let first = PortfolioSolver::sequential().solve(inst);
-            let second = PortfolioSolver::sequential().solve(inst);
-            assert_eq!(
-                first.outcome, second.outcome,
-                "instance {index}: optima or model order diverged"
-            );
-            assert_eq!(
-                first.outcome.model().map(<[bool]>::to_vec),
-                second.outcome.model().map(<[bool]>::to_vec),
-                "instance {index}: model diverged"
-            );
-            assert_eq!(
-                first.stats.algorithm, second.stats.algorithm,
-                "instance {index}: winning entry diverged"
+            let mut costs = Vec::new();
+            for entry in &default_entries() {
+                let first = run_alone(entry, inst);
+                let second = run_alone(entry, inst);
+                assert_eq!(
+                    first.outcome, second.outcome,
+                    "instance {index}, {entry:?}: optimum or model diverged"
+                );
+                assert_eq!(first.stats.algorithm, second.stats.algorithm);
+                costs.push(first.outcome.cost());
+            }
+            assert!(
+                costs.windows(2).all(|w| w[0] == w[1]),
+                "instance {index}: entries disagree on the optimum: {costs:?}"
             );
         }
     }
 
-    /// The deterministic mode consults every entry, not just the first: a
-    /// custom entry that reports a suboptimal cost must lose to a later
-    /// exact solver.
-    #[test]
-    fn sequential_mode_picks_the_best_entry_not_the_first() {
-        struct Suboptimal;
-        impl crate::MaxSatAlgorithm for Suboptimal {
-            fn name(&self) -> &'static str {
-                "suboptimal-mock"
-            }
-            fn solve_with_stop(
-                &self,
-                instance: &WcnfInstance,
-                _stop: &std::sync::atomic::AtomicBool,
-            ) -> Option<MaxSatResult> {
-                Some(MaxSatResult {
-                    outcome: MaxSatOutcome::Optimum {
-                        model: vec![true; instance.num_vars()],
-                        cost: u64::MAX,
-                    },
-                    stats: MaxSatStats {
-                        algorithm: "suboptimal-mock".to_string(),
-                        ..MaxSatStats::default()
-                    },
-                })
-            }
-        }
-
-        let mut inst = WcnfInstance::with_vars(3);
-        inst.add_hard([pos(0), pos(1), pos(2)]);
-        inst.add_soft([neg(0)], 4);
-        inst.add_soft([neg(1)], 8);
-        inst.add_soft([neg(2)], 6);
-        let solver = PortfolioSolver::new(PortfolioConfig {
-            entries: vec![
-                PortfolioEntry::Custom(Box::new(Suboptimal)),
-                PortfolioEntry::Oll(OllConfig::default()),
-            ],
-            sequential: true,
-        });
-        let result = solver.solve(&inst);
-        assert_eq!(result.outcome.cost(), Some(4));
-        assert!(
-            !result.stats.algorithm.contains("suboptimal-mock"),
-            "the mock entry must not win: {}",
-            result.stats.algorithm
-        );
-    }
-
-    /// The portfolio's incremental mode must produce the same sequence of
-    /// optima as fresh sequential solves over the growing instance — the
-    /// session only warm-starts the search, never changes the answers.
+    /// An incremental session's optima match fresh solves of the growing
+    /// instance by each entry run on its own: the session only warm-starts
+    /// the search, and every entry is exact.
     #[test]
     fn incremental_mode_matches_sequential_resolves() {
         for seed in 920..926 {
             let inst = random_instance(seed, 8, 12, 6);
-            // The session borrows `inst`; the sequential comparison solves
-            // its own growing copy.
+            // The session borrows `inst`; the fresh solves use their own
+            // growing copy.
             let mut grown = inst.clone();
-            let portfolio = PortfolioSolver::sequential();
-            let mut session = portfolio.incremental(&inst);
+            let mut session = IncrementalMaxSat::new(&inst);
             for _ in 0..3 {
                 let incremental = session.solve();
-                let scratch = portfolio.solve(&grown);
-                assert_eq!(
-                    incremental.outcome.cost(),
-                    scratch.outcome.cost(),
-                    "seed {seed}"
-                );
+                for entry in &default_entries() {
+                    assert_eq!(
+                        incremental.outcome.cost(),
+                        run_alone(entry, &grown).outcome.cost(),
+                        "seed {seed}, {entry:?}"
+                    );
+                }
                 let Some(model) = incremental.outcome.model().map(<[bool]>::to_vec) else {
                     break;
                 };
@@ -475,7 +315,6 @@ mod tests {
     fn empty_portfolio_reports_unsatisfiable() {
         let solver = PortfolioSolver::new(PortfolioConfig {
             entries: Vec::new(),
-            sequential: false,
         });
         let inst = WcnfInstance::with_vars(1);
         let result = solver.solve(&inst);

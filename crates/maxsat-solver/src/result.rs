@@ -71,11 +71,10 @@ pub struct MaxSatStats {
     /// run. Equals `sat_calls` for a one-shot core-guided run; strictly
     /// grows across the calls of an
     /// [`IncrementalMaxSat`](crate::IncrementalMaxSat) session, proving the
-    /// session is shared. Aggregating wrappers (the sequential portfolio's
-    /// cross-entry totals, the linear solver's OLL fallback) report
-    /// `sat_calls` summed over *several* sessions while `session_calls`
-    /// stays the winning session's own count, so there `sat_calls` may
-    /// exceed `session_calls`.
+    /// session is shared. The linear solver's OLL fallback reports
+    /// `sat_calls` summed over *both* sessions while `session_calls` stays
+    /// the OLL session's own count, so there `sat_calls` may exceed
+    /// `session_calls`.
     pub session_calls: u64,
     /// Inprocessing rounds run by the underlying SAT search during this run.
     pub inprocess_rounds: u64,

@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use fault_tree::FaultTree;
-use maxsat_solver::{MaxSatOutcome, PortfolioSolver};
+use maxsat_solver::{IncrementalMaxSat, MaxSatOutcome};
 
 use crate::encode::MpmcsEncoding;
 use crate::error::MpmcsError;
@@ -86,7 +86,7 @@ impl MpmcsSolver {
     ///
     /// # fn main() -> Result<(), mpmcs::MpmcsError> {
     /// let tree = fire_protection_system();
-    /// let top2 = MpmcsSolver::sequential().solve_top_k(&tree, 2)?;
+    /// let top2 = MpmcsSolver::new().solve_top_k(&tree, 2)?;
     /// assert_eq!(top2[0].event_names(&tree), vec!["x1", "x2"]); // p = 0.02
     /// assert_eq!(top2[1].event_names(&tree), vec!["x5", "x6"]); // p = 0.005
     /// assert!(top2[0].probability >= top2[1].probability);
@@ -118,7 +118,7 @@ impl MpmcsSolver {
     ///
     /// # fn main() -> Result<(), mpmcs::MpmcsError> {
     /// let tree = fire_protection_system();
-    /// let all = MpmcsSolver::sequential().enumerate(&tree, EnumerationLimit::All)?;
+    /// let all = MpmcsSolver::new().enumerate(&tree, EnumerationLimit::All)?;
     /// assert_eq!(all.len(), 5); // the FPS tree has exactly five minimal cut sets
     /// assert!(all.windows(2).all(|w| w[0].probability >= w[1].probability));
     /// # Ok(())
@@ -170,17 +170,9 @@ impl MpmcsSolver {
         let setup_start = Instant::now();
         // Exactly one tree encoding per enumeration call...
         let encoding = self.encode(tree);
-        // ...and exactly one solver session shared by every cut set (the
-        // configured branching heuristic reaches it through the portfolio's
-        // first core-guided entry).
-        let mut session = PortfolioSolver::new(
-            maxsat_solver::PortfolioConfig {
-                sequential: true,
-                ..maxsat_solver::PortfolioConfig::default()
-            }
-            .with_branching(self.options().branching),
-        )
-        .incremental(encoding.instance());
+        // ...and exactly one OLL session shared by every cut set.
+        let mut session =
+            IncrementalMaxSat::with_config(encoding.instance(), self.options().oll_config());
         // The encoding + session construction is charged to the first
         // reported solution, mirroring what the from-scratch pipeline spends
         // inside every per-solution timer.
@@ -329,7 +321,7 @@ mod tests {
     #[test]
     fn top_k_of_the_fire_protection_system_is_ordered_by_probability() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let top3 = solver.solve_top_k(&tree, 3).expect("solvable");
         assert_eq!(top3.len(), 3);
         // Candidate MCSs and probabilities:
@@ -349,7 +341,7 @@ mod tests {
     #[test]
     fn enumerating_all_mcs_of_the_fps_finds_exactly_five() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let all = solver
             .enumerate(&tree, EnumerationLimit::All)
             .expect("solvable");
@@ -378,7 +370,7 @@ mod tests {
     #[test]
     fn asking_for_more_than_available_returns_what_exists() {
         let tree = pressure_tank_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let many = solver.solve_top_k(&tree, 50).expect("solvable");
         // The pressure tank tree has exactly 3 minimal cut sets.
         assert_eq!(many.len(), 3);
@@ -390,7 +382,7 @@ mod tests {
     #[test]
     fn top_one_equals_the_plain_solve() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let single = solver.solve(&tree).expect("solvable");
         let top1 = solver.solve_top_k(&tree, 1).expect("solvable");
         assert_eq!(top1.len(), 1);
@@ -403,7 +395,7 @@ mod tests {
     #[test]
     fn top_zero_returns_empty_without_solving() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         assert_eq!(solver.solve_top_k(&tree, 0).expect("no work"), Vec::new());
         assert_eq!(
             solver
@@ -419,7 +411,7 @@ mod tests {
     #[test]
     fn exhaustion_mid_enumeration_terminates_cleanly_incrementally() {
         let tree = pressure_tank_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         assert!(solver.options().incremental);
         // The pressure tank tree has exactly 3 minimal cut sets; ask for 50.
         let many = solver.solve_top_k(&tree, 50).expect("solvable");
@@ -442,7 +434,7 @@ mod tests {
     #[test]
     fn incremental_enumeration_reuses_one_session() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let all = solver
             .enumerate(&tree, EnumerationLimit::All)
             .expect("solvable");
@@ -467,7 +459,6 @@ mod tests {
         // The from-scratch baseline, by contrast, restarts the counter for
         // every cut set.
         let scratch_solver = MpmcsSolver::with_options(MpmcsOptions {
-            algorithm: AlgorithmChoice::SequentialPortfolio,
             incremental: false,
             ..MpmcsOptions::new()
         });
@@ -513,11 +504,8 @@ mod tests {
             (Family::AndHeavy, 13),
         ] {
             let tree = family.generate(60, seed);
-            let incremental = MpmcsSolver::sequential()
-                .solve_top_k(&tree, 8)
-                .expect("solvable");
+            let incremental = MpmcsSolver::new().solve_top_k(&tree, 8).expect("solvable");
             let scratch = MpmcsSolver::with_options(MpmcsOptions {
-                algorithm: AlgorithmChoice::SequentialPortfolio,
                 incremental: false,
                 ..MpmcsOptions::new()
             })
@@ -540,7 +528,7 @@ mod threshold_tests {
     #[test]
     fn enumerate_above_keeps_only_cut_sets_at_or_over_the_threshold() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         // Threshold 0.002 keeps {x1,x2}=0.02, {x5,x6}=0.005, {x5,x7}=0.0025 and
         // {x4}=0.002 but drops {x3}=0.001.
         let kept = solver.enumerate_above(&tree, 0.002).expect("solvable");
@@ -557,7 +545,7 @@ mod threshold_tests {
     #[test]
     fn enumerate_within_factor_brackets_the_optimum() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         // Factor 5: keep everything with probability >= 0.02/5 = 0.004,
         // i.e. {x1,x2}=0.02 and {x5,x6}=0.005.
         let close = solver
@@ -577,6 +565,6 @@ mod threshold_tests {
     #[should_panic(expected = "at least 1")]
     fn enumerate_within_factor_rejects_factors_below_one() {
         let tree = fire_protection_system();
-        let _ = MpmcsSolver::sequential().enumerate_within_factor(&tree, 0.5);
+        let _ = MpmcsSolver::new().enumerate_within_factor(&tree, 0.5);
     }
 }

@@ -98,7 +98,7 @@ mod tests {
     #[test]
     fn fps_maximum_reliability_path_set_matches_the_hand_computation() {
         let tree = fire_protection_system();
-        let solution = MpmcsSolver::sequential()
+        let solution = MpmcsSolver::new()
             .solve_max_reliability_path_set(&tree)
             .expect("the FPS tree has path sets");
         // Keeping x2, x3, x4 and x5 working blocks every cut set; its
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn path_set_blocks_every_minimal_cut_set() {
         let tree = fire_protection_system();
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let path = solver
             .solve_max_reliability_path_set(&tree)
             .expect("solvable");
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn enumeration_returns_all_four_fps_path_sets_in_order() {
         let tree = fire_protection_system();
-        let all = MpmcsSolver::sequential()
+        let all = MpmcsSolver::new()
             .enumerate_path_sets(&tree, EnumerationLimit::All)
             .expect("solvable");
         assert_eq!(all.len(), 4);
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn voting_gate_path_sets_keep_a_sensor_quorum() {
         let tree = redundant_sensor_network();
-        let solution = MpmcsSolver::sequential()
+        let solution = MpmcsSolver::new()
             .solve_max_reliability_path_set(&tree)
             .expect("solvable");
         // Keeping two sensors plus the bus and the power supply is required;

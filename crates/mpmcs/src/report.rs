@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn report_reflects_the_fig2_content() {
         let tree = fire_protection_system();
-        let solution = MpmcsSolver::sequential().solve(&tree).expect("solvable");
+        let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
         let report = MpmcsReport::new(&tree, &solution);
         assert_eq!(report.tree, "fire protection system");
         assert_eq!(report.num_events, 7);
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn with_stats_carries_the_solver_statistics_block() {
         let tree = fire_protection_system();
-        let solution = MpmcsSolver::sequential().solve(&tree).expect("solvable");
+        let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
         let report = MpmcsReport::with_stats(&tree, &solution);
         let stats = report.solver_stats.as_ref().expect("stats requested");
         assert_eq!(stats.sat_calls, report.sat_calls);
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let tree = fire_protection_system();
-        let solution = MpmcsSolver::sequential().solve(&tree).expect("solvable");
+        let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
         let report = MpmcsReport::new(&tree, &solution);
         let json = report.to_json();
         assert!(json.contains("\"x1\""));

@@ -18,14 +18,23 @@ use crate::verify;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum AlgorithmChoice {
     /// The parallel portfolio of heterogeneous solvers (the paper's design).
-    #[default]
+    /// The first entry to finish wins, so on trees with tied optima the
+    /// reported cut set may vary between runs.
     Portfolio,
-    /// The portfolio restricted to a single thread (deterministic).
-    SequentialPortfolio,
-    /// Core-guided OLL only.
+    /// Core-guided OLL: the deterministic default.
+    #[default]
     Oll,
     /// Linear SAT–UNSAT only.
     LinearSu,
+}
+
+impl AlgorithmChoice {
+    /// The former deterministic "sequential portfolio", kept as a name for
+    /// [`AlgorithmChoice::Oll`]: it ran every portfolio entry to completion
+    /// and always kept the first one, plain OLL, because every entry is exact
+    /// and ties went to declaration order.
+    #[allow(non_upper_case_globals)]
+    pub const SequentialPortfolio: AlgorithmChoice = AlgorithmChoice::Oll;
 }
 
 /// Options controlling the MPMCS pipeline.
@@ -47,12 +56,11 @@ pub struct MpmcsOptions {
     /// (used as the baseline by the E11 study and the equivalence tests).
     /// An explicit [`AlgorithmChoice::LinearSu`] request also keeps the
     /// from-scratch pipeline — the linear algorithm's permanent unit bound
-    /// assertions have no incremental counterpart. All other algorithm
-    /// choices enumerate through the deterministic core-guided session
-    /// (the portfolio's incremental mode), so per-cut-set reports carry the
-    /// `"oll"` algorithm tag rather than a portfolio race's: incremental
-    /// reuse and a wall-clock race over fresh solvers are mutually
-    /// exclusive by construction.
+    /// assertions have no incremental counterpart. The other algorithm
+    /// choices enumerate through the deterministic core-guided OLL session,
+    /// so per-cut-set reports carry the `"oll"` algorithm tag rather than a
+    /// portfolio race's: incremental reuse and a wall-clock race over fresh
+    /// solvers are mutually exclusive by construction.
     pub incremental: bool,
     /// The branching heuristic driving every underlying SAT solver's
     /// decisions (VSIDS by default; see
@@ -61,16 +69,30 @@ pub struct MpmcsOptions {
 }
 
 impl MpmcsOptions {
-    /// The default options: parallel portfolio, direct encoding, default
+    /// The default options: core-guided OLL, direct encoding, default
     /// weight scale, verification enabled, incremental enumeration.
     pub fn new() -> Self {
         MpmcsOptions {
-            algorithm: AlgorithmChoice::Portfolio,
+            algorithm: AlgorithmChoice::Oll,
             encoding: EncodingStyle::Direct,
             scale: WeightScale::default(),
             verify: true,
             incremental: true,
             branching: BranchingChoice::Vsids,
+        }
+    }
+
+    /// The configuration of every OLL run these options start: one-shot
+    /// [`AlgorithmChoice::Oll`] solves, collected incremental enumeration and
+    /// [`McsStream`](crate::McsStream) sessions alike, so all three honour
+    /// the configured branching heuristic.
+    pub(crate) fn oll_config(&self) -> OllConfig {
+        OllConfig {
+            sat_config: SolverConfig {
+                branching: self.branching,
+                ..SolverConfig::default()
+            },
+            ..OllConfig::default()
         }
     }
 }
@@ -118,7 +140,7 @@ pub struct MpmcsSolver {
 }
 
 impl MpmcsSolver {
-    /// Creates a solver with the default options (parallel portfolio,
+    /// Creates a solver with the default options (core-guided OLL,
     /// verification enabled).
     pub fn new() -> Self {
         MpmcsSolver {
@@ -129,16 +151,6 @@ impl MpmcsSolver {
     /// Creates a solver with explicit options.
     pub fn with_options(options: MpmcsOptions) -> Self {
         MpmcsSolver { options }
-    }
-
-    /// Creates a solver using a single, deterministic MaxSAT strategy.
-    pub fn sequential() -> Self {
-        MpmcsSolver {
-            options: MpmcsOptions {
-                algorithm: AlgorithmChoice::SequentialPortfolio,
-                ..MpmcsOptions::new()
-            },
-        }
     }
 
     /// The options in effect.
@@ -199,40 +211,21 @@ impl MpmcsSolver {
     fn run_maxsat(&self, encoding: &MpmcsEncoding) -> maxsat_solver::MaxSatResult {
         let instance = encoding.instance();
         let branching = self.options.branching;
-        let sat_config = SolverConfig {
-            branching,
-            ..SolverConfig::default()
-        };
         match self.options.algorithm {
             AlgorithmChoice::Portfolio => {
                 PortfolioSolver::new(PortfolioConfig::default().with_branching(branching))
                     .solve(instance)
             }
-            AlgorithmChoice::SequentialPortfolio => PortfolioSolver::new(
-                PortfolioConfig {
-                    sequential: true,
-                    ..PortfolioConfig::default()
-                }
-                .with_branching(branching),
-            )
-            .solve(instance),
-            AlgorithmChoice::Oll => OllSolver::new(OllConfig {
-                sat_config,
-                ..OllConfig::default()
-            })
-            .solve(instance),
+            AlgorithmChoice::Oll => OllSolver::new(self.options.oll_config()).solve(instance),
             AlgorithmChoice::LinearSu => LinearSuSolver::new(LinearSuConfig {
-                sat_config,
+                sat_config: SolverConfig {
+                    branching,
+                    ..SolverConfig::default()
+                },
                 ..LinearSuConfig::default()
             })
             .solve(instance),
         }
-    }
-
-    /// The portfolio configuration used for [`AlgorithmChoice::Portfolio`];
-    /// exposed for the benchmark harness (portfolio ablation study).
-    pub fn default_portfolio() -> PortfolioConfig {
-        PortfolioConfig::default()
     }
 }
 
@@ -249,7 +242,6 @@ mod tests {
         let tree = fire_protection_system();
         for algorithm in [
             AlgorithmChoice::Portfolio,
-            AlgorithmChoice::SequentialPortfolio,
             AlgorithmChoice::Oll,
             AlgorithmChoice::LinearSu,
         ] {
@@ -285,7 +277,7 @@ mod tests {
     #[test]
     fn pressure_tank_mpmcs_is_the_most_probable_minimal_cut() {
         let tree = pressure_tank_system();
-        let solution = MpmcsSolver::sequential().solve(&tree).expect("solvable");
+        let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
         // Candidate MCSs: {tank} 1e-5, {relief, switch} 5e-6,
         // {relief, monitor, operator} 1e-6. The most probable is {tank}.
         assert_eq!(solution.cut_set.len(), 1);
@@ -299,7 +291,7 @@ mod tests {
     #[test]
     fn voting_gates_are_supported() {
         let tree = redundant_sensor_network();
-        let solution = MpmcsSolver::sequential().solve(&tree).expect("solvable");
+        let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
         // Most probable MCS: {bus} 0.01 vs {power} 0.002 vs sensor pairs
         // (0.05*0.08=0.004, 0.05*0.1=0.005, 0.08*0.1=0.008) → {bus}.
         assert_eq!(solution.event_names(&tree), vec!["field bus fails"]);
@@ -313,7 +305,7 @@ mod tests {
         let a = b.basic_event("a", 0.3).unwrap();
         let and = b.and_gate("and", [certain.into(), a.into()]).unwrap();
         let tree = b.build(and.into()).unwrap();
-        let solution = MpmcsSolver::sequential().solve(&tree).expect("solvable");
+        let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
         // The MPMCS is {certain, a} with probability 0.3.
         assert_eq!(solution.cut_set.len(), 2);
         assert!((solution.probability - 0.3).abs() < 1e-12);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fault_tree::FaultTree;
-use maxsat_solver::{IncrementalMaxSat, MaxSatOutcome, OllConfig};
+use maxsat_solver::{IncrementalMaxSat, MaxSatOutcome};
 use sat_solver::InterruptHook;
 
 use crate::encode::MpmcsEncoding;
@@ -69,7 +69,7 @@ pub enum StreamStep {
 /// use mpmcs::{McsStream, MpmcsSolver, StreamStep};
 ///
 /// let tree = Arc::new(fire_protection_system());
-/// let mut stream = MpmcsSolver::sequential().stream(Arc::clone(&tree));
+/// let mut stream = MpmcsSolver::new().stream(Arc::clone(&tree));
 /// let mut names = Vec::new();
 /// while let StreamStep::Solution(solution) = stream.next_step().unwrap() {
 ///     names.push(solution.cut_set.display_names(&tree));
@@ -116,8 +116,9 @@ impl MpmcsSolver {
     /// same one collected enumeration uses); an explicit
     /// [`AlgorithmChoice::LinearSu`](crate::AlgorithmChoice) request has no
     /// streaming counterpart and is ignored here. The
-    /// [`verify`](MpmcsOptions::verify), [`encoding`](MpmcsOptions::encoding)
-    /// and [`scale`](MpmcsOptions::scale) options are honoured.
+    /// [`verify`](MpmcsOptions::verify), [`encoding`](MpmcsOptions::encoding),
+    /// [`scale`](MpmcsOptions::scale) and
+    /// [`branching`](MpmcsOptions::branching) options are honoured.
     pub fn stream(&self, tree: Arc<FaultTree>) -> McsStream {
         McsStream::open(tree, *self.options())
     }
@@ -129,11 +130,9 @@ impl McsStream {
     pub fn open(tree: Arc<FaultTree>, options: MpmcsOptions) -> McsStream {
         let setup_start = Instant::now();
         let encoding = MpmcsEncoding::with_style(&tree, options.encoding, options.scale);
-        // The same deterministic OLL configuration the collected incremental
-        // path uses (`PortfolioSolver::sequential().incremental(..)` resolves
-        // to the portfolio's first core-guided entry, which is the default) —
+        // The same OLL configuration the collected incremental path uses —
         // this is what makes streamed and collected runs byte-identical.
-        let session = IncrementalMaxSat::owned(encoding.instance().clone(), OllConfig::default());
+        let session = IncrementalMaxSat::owned(encoding.instance().clone(), options.oll_config());
         McsStream {
             tree,
             encoding,
@@ -277,7 +276,7 @@ mod tests {
     #[test]
     fn streamed_solutions_match_the_collected_enumeration() {
         for tree in [fire_protection_system(), pressure_tank_system()] {
-            let solver = MpmcsSolver::sequential();
+            let solver = MpmcsSolver::new();
             let collected = solver
                 .enumerate(&tree, EnumerationLimit::All)
                 .expect("solvable");
@@ -290,6 +289,30 @@ mod tests {
                 assert_eq!(s.probability.to_bits(), c.probability.to_bits());
             }
             assert!(stream.is_exhausted());
+        }
+    }
+
+    /// The stream's session is configured from the same options as the
+    /// collected path's, branching heuristic included: under random
+    /// branching both report identical per-solution solver statistics.
+    #[test]
+    fn streams_honour_the_branching_heuristic() {
+        use ft_generators::Family;
+        use sat_solver::BranchingChoice;
+
+        let tree = Family::RandomMixed.generate(1000, 3);
+        let solver = MpmcsSolver::with_options(MpmcsOptions {
+            branching: BranchingChoice::Random,
+            ..MpmcsOptions::new()
+        });
+        let collected = solver.solve_top_k(&tree, 3).expect("solvable");
+        let mut stream = solver.stream(Arc::new(tree));
+        for expected in &collected {
+            let StreamStep::Solution(streamed) = stream.next_step().expect("solvable") else {
+                panic!("the stream ended before the collected top-k");
+            };
+            assert_eq!(streamed.cut_set, expected.cut_set);
+            assert_eq!(streamed.stats, expected.stats);
         }
     }
 
@@ -309,7 +332,7 @@ mod tests {
         let mut b = FaultTreeBuilder::new("single");
         let only = b.basic_event("only", 0.25).unwrap();
         let tree = Arc::new(b.build(only.into()).unwrap());
-        let mut stream = MpmcsSolver::sequential().stream(tree);
+        let mut stream = MpmcsSolver::new().stream(tree);
         let all = drain(&mut stream);
         assert_eq!(all.len(), 1);
         // Further steps keep reporting exhaustion.
@@ -322,7 +345,7 @@ mod tests {
     #[test]
     fn early_exit_issues_fewer_sat_calls_than_exhaustion() {
         let tree = Arc::new(fire_protection_system());
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let mut full = solver.stream(Arc::clone(&tree));
         let all = drain(&mut full);
         assert_eq!(all.len(), 5);
@@ -353,7 +376,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let tree = Arc::new(fire_protection_system());
-        let solver = MpmcsSolver::sequential();
+        let solver = MpmcsSolver::new();
         let mut reference = solver.stream(Arc::clone(&tree));
         let expected = drain(&mut reference);
 

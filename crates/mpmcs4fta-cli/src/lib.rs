@@ -128,10 +128,10 @@ OPTIONS:
                                 modules, solve the pieces separately and
                                 compose (shrinks encodings for every backend;
                                 per-cut-set solver stats become aggregates)
-    --algorithm <NAME>          portfolio | sequential | oll | linear-su
-                                (maxsat backend only; default: portfolio;
-                                batch default: sequential, which keeps batch
-                                reports deterministic)
+    --algorithm <NAME>          portfolio | oll | linear-su
+                                (maxsat backend only; default: oll, which is
+                                deterministic, in single-tree and batch mode;
+                                portfolio races the paper's solver line-up)
     --branching <NAME>          vsids (default) | random — the SAT decision
                                 heuristic of the MaxSAT backend's solvers
                                 (maxsat backend only; random is a baseline
@@ -317,8 +317,8 @@ pub struct CliOptions {
     pub mode: CliMode,
     /// Which analysis to run (single-tree modes).
     pub analysis: AnalysisKind,
-    /// Which MaxSAT strategy to use (`None` = the mode's default: parallel
-    /// portfolio for single trees, deterministic sequential for batches).
+    /// Which MaxSAT strategy to use (`None` = the default, deterministic
+    /// OLL).
     pub algorithm: Option<AlgorithmChoice>,
     /// Which SAT decision heuristic the MaxSAT backend's solvers use
     /// (default: VSIDS).
@@ -477,7 +477,6 @@ where
             "--algorithm" => {
                 algorithm = Some(match value("--algorithm")?.as_str() {
                     "portfolio" => AlgorithmChoice::Portfolio,
-                    "sequential" => AlgorithmChoice::SequentialPortfolio,
                     "oll" => AlgorithmChoice::Oll,
                     "linear-su" | "linear" => AlgorithmChoice::LinearSu,
                     other => return Err(CliError::Usage(format!("unknown algorithm {other:?}"))),
@@ -980,7 +979,7 @@ pub fn run_with_status(options: &CliOptions) -> Result<RunOutput, CliError> {
         AnalysisKind::PathSet => run_path_set(options, &tree).map(complete),
         AnalysisKind::Importance => run_importance(options, &tree).map(complete),
         AnalysisKind::Modules => run_modules(&tree).map(complete),
-        AnalysisKind::Stability => run_stability(&tree).map(complete),
+        AnalysisKind::Stability => run_stability(options, &tree).map(complete),
         AnalysisKind::Dot => run_dot(options, &tree).map(complete),
         AnalysisKind::Ascii => Ok(RunOutput {
             output: fault_tree::export::to_ascii(&tree),
@@ -1003,11 +1002,7 @@ fn run_batch_mode(options: &CliOptions, path: &std::path::Path) -> Result<RunOut
     let config = BatchConfig {
         jobs: options.jobs,
         top_k: options.top_k.unwrap_or(1),
-        // The batch default is the *sequential* portfolio: parallelism comes
-        // from the worker pool, and per-tree results stay deterministic.
-        algorithm: options
-            .algorithm
-            .unwrap_or(AlgorithmChoice::SequentialPortfolio),
+        algorithm: options.algorithm.unwrap_or_default(),
         branching: options.branching,
         importance: options.importance,
         stats: options.stats,
@@ -1027,18 +1022,17 @@ fn run_batch_mode(options: &CliOptions, path: &std::path::Path) -> Result<RunOut
     })
 }
 
-/// The number of minimal cut sets the classical analyses are allowed to
-/// enumerate before giving up with [`CliError::Analysis`].
-const MOCUS_BUDGET: usize = 50_000;
-
-fn cut_sets_for_analysis(tree: &FaultTree) -> Result<Vec<fault_tree::CutSet>, CliError> {
-    ft_analysis::mocus::Mocus::with_budget(tree, MOCUS_BUDGET)
-        .minimal_cut_sets()
-        .map_err(|e| CliError::Analysis(e.to_string()))
+/// The facade analyzer behind the `importance` and `stability` analyses: the
+/// MOCUS engine lists the full cut-set family of OR-heavy trees far faster
+/// than exhaustive MaxSAT enumeration, and no budget caps it.
+fn mocus_analyzer(options: &CliOptions, tree: &FaultTree) -> Analyzer {
+    Analyzer::for_tree(tree.clone())
+        .backend(BackendKind::Mocus)
+        .bdd_ordering(options.bdd_ordering)
 }
 
-fn exact_top_probability(tree: &FaultTree, ordering: VariableOrdering) -> f64 {
-    bdd_engine::compile_fault_tree(tree, ordering).top_event_probability(tree)
+fn analysis_error(error: SessionError) -> CliError {
+    CliError::Analysis(error.to_string())
 }
 
 /// The session-facade analyzer implied by the parsed options, over `kind`.
@@ -1414,30 +1408,24 @@ fn run_path_set(options: &CliOptions, tree: &FaultTree) -> Result<(String, Strin
 }
 
 fn run_importance(options: &CliOptions, tree: &FaultTree) -> Result<(String, String), CliError> {
-    let cut_sets = cut_sets_for_analysis(tree)?;
-    let ordering = options.bdd_ordering;
-    let exact = move |t: &FaultTree| exact_top_probability(t, ordering);
-    let table = ft_analysis::importance::ImportanceTable::compute(tree, &cut_sets, exact);
-    // Rendered through the shared report module (the HTTP front end's
-    // importance endpoint uses the same function on the facade's table).
-    let report = ft_session::ImportanceReport {
-        rows: tree
-            .event_ids()
-            .map(|event| {
-                let i = event.index();
-                ft_session::ImportanceRow {
-                    event: tree.event(event).name().to_string(),
-                    birnbaum: table.birnbaum[i],
-                    fussell_vesely: table.fussell_vesely[i],
-                    raw: table.raw[i],
-                    rrw: table.rrw[i],
-                    criticality: table.criticality[i],
-                    structural: table.structural[i],
-                }
-            })
-            .collect(),
-    };
+    let report = mocus_analyzer(options, tree)
+        .importance()
+        .map_err(analysis_error)?;
+    // Rendered through the shared report module, like the HTTP front end's
+    // importance endpoint.
     let json = ft_session::report::render_importance(&report);
+    // The text summary is ft-analysis's table renderer over the same rows.
+    let column = |measure: fn(&ft_session::ImportanceRow) -> f64| -> Vec<f64> {
+        report.rows.iter().map(measure).collect()
+    };
+    let table = ft_analysis::importance::ImportanceTable {
+        birnbaum: column(|row| row.birnbaum),
+        fussell_vesely: column(|row| row.fussell_vesely),
+        raw: column(|row| row.raw),
+        rrw: column(|row| row.rrw),
+        criticality: column(|row| row.criticality),
+        structural: column(|row| row.structural),
+    };
     Ok((json, table.render(tree)))
 }
 
@@ -1456,8 +1444,14 @@ fn run_modules(tree: &FaultTree) -> Result<(String, String), CliError> {
     Ok((json, report.render(tree)))
 }
 
-fn run_stability(tree: &FaultTree) -> Result<(String, String), CliError> {
-    let cut_sets = cut_sets_for_analysis(tree)?;
+fn run_stability(options: &CliOptions, tree: &FaultTree) -> Result<(String, String), CliError> {
+    let cut_sets: Vec<fault_tree::CutSet> = mocus_analyzer(options, tree)
+        .all_mcs()
+        .map_err(analysis_error)?
+        .solutions
+        .into_iter()
+        .map(|solution| solution.cut_set)
+        .collect();
     let stability = ft_analysis::sensitivity::MpmcsStability::of(tree, &cut_sets)
         .ok_or_else(|| CliError::Analysis("the tree has no minimal cut set".to_string()))?;
     let json = serde_json::to_string_pretty(&serde_json::json!({
@@ -1714,8 +1708,6 @@ mod tests {
             let options = parse_args([
                 "--example",
                 "fps",
-                "--algorithm",
-                "sequential",
                 "--branching",
                 branching,
                 "--top-k",
@@ -1747,15 +1739,7 @@ mod tests {
 
     #[test]
     fn stats_flag_adds_solver_statistics_to_the_report() {
-        let options = parse_args([
-            "--example",
-            "fps",
-            "--algorithm",
-            "sequential",
-            "--stats",
-            "--quiet",
-        ])
-        .unwrap();
+        let options = parse_args(["--example", "fps", "--stats", "--quiet"]).unwrap();
         assert!(options.stats);
         let (json, _) = run(&options).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -1763,23 +1747,13 @@ mod tests {
         assert!(stats["propagations"].as_u64().unwrap() > 0);
         assert!(stats["sat_calls"].as_u64().unwrap() > 0);
         // Without the flag the block is absent.
-        let options =
-            parse_args(["--example", "fps", "--algorithm", "sequential", "--quiet"]).unwrap();
+        let options = parse_args(["--example", "fps", "--quiet"]).unwrap();
         let (json, _) = run(&options).unwrap();
         assert!(!json.contains("solver_stats"));
         // Enumeration reports carry per-stage stats plus the growing
         // session-cumulative counter of the shared incremental session.
-        let options = parse_args([
-            "--example",
-            "fps",
-            "--algorithm",
-            "sequential",
-            "--top-k",
-            "3",
-            "--stats",
-            "--quiet",
-        ])
-        .unwrap();
+        let options =
+            parse_args(["--example", "fps", "--top-k", "3", "--stats", "--quiet"]).unwrap();
         let (json, _) = run(&options).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         let reports = parsed.as_array().unwrap();
@@ -1816,8 +1790,7 @@ mod tests {
 
     #[test]
     fn runs_the_builtin_example_end_to_end() {
-        let options =
-            parse_args(["--example", "fps", "--algorithm", "sequential", "--quiet"]).unwrap();
+        let options = parse_args(["--example", "fps", "--quiet"]).unwrap();
         let (json, summary) = run(&options).unwrap();
         assert!(json.contains("\"x1\""));
         assert!(json.contains("\"x2\""));
@@ -2056,7 +2029,7 @@ mod tests {
             "--cross-check",
             "--all",
             "--algorithm",
-            "sequential",
+            "oll",
             "--quiet",
         ]);
         // --algorithm with --backend bdd is rejected; drop it.

@@ -49,7 +49,6 @@ mod expr;
 mod heap;
 mod inprocess;
 mod lit;
-pub mod preprocess;
 mod session;
 mod solver;
 mod stats;
@@ -61,9 +60,6 @@ pub use cnf::CnfFormula;
 pub use expr::BoolExpr;
 pub use inprocess::InprocessConfig;
 pub use lit::{LBool, Lit, Var};
-pub use preprocess::{
-    preprocess, preprocess_with, PreprocessConfig, PreprocessResult, PreprocessStats,
-};
 pub use session::Session;
 pub use solver::{InterruptHook, Model, SolveResult, Solver, SolverConfig};
 pub use stats::SolverStats;

@@ -261,10 +261,7 @@ fn cli_backends_emit_identical_deterministic_json() {
         let path_str = path.to_str().expect("UTF-8 path");
         let mut reference: Option<String> = None;
         for backend in ["maxsat", "bdd", "mocus"] {
-            let mut args = vec![path_str, "--backend", backend, "--all", "--quiet"];
-            if backend == "maxsat" {
-                args.extend(["--algorithm", "sequential"]);
-            }
+            let args = vec![path_str, "--backend", backend, "--all", "--quiet"];
             let options = parse_args(args).expect("valid arguments");
             let (json_text, _) = run(&options).expect("bundled examples are solvable");
             let rendered = normalize(&json_text);

@@ -22,7 +22,7 @@ fn exact_probability(tree: &FaultTree) -> f64 {
 
 #[test]
 fn zbdd_and_maxsat_agree_on_the_mpmcs_probability_for_generated_trees() {
-    let solver = MpmcsSolver::sequential();
+    let solver = MpmcsSolver::new();
     for family in [Family::RandomMixed, Family::AndHeavy, Family::VotingHeavy] {
         for seed in [1, 2, 3] {
             let tree = family.generate(120, seed);
@@ -44,7 +44,7 @@ fn zbdd_and_maxsat_agree_on_the_mpmcs_probability_for_generated_trees() {
 
 #[test]
 fn zbdd_counts_match_full_maxsat_enumeration_on_the_examples() {
-    let solver = MpmcsSolver::sequential();
+    let solver = MpmcsSolver::new();
     for (name, tree) in all_examples() {
         let enumerated = solver
             .enumerate(&tree, EnumerationLimit::All)
@@ -56,7 +56,7 @@ fn zbdd_counts_match_full_maxsat_enumeration_on_the_examples() {
 
 #[test]
 fn maxsat_path_sets_agree_with_the_mocus_dual_on_the_examples() {
-    let solver = MpmcsSolver::sequential();
+    let solver = MpmcsSolver::new();
     for (name, tree) in all_examples() {
         let via_maxsat = solver
             .solve_max_reliability_path_set(&tree)
@@ -76,7 +76,7 @@ fn maxsat_path_sets_agree_with_the_mocus_dual_on_the_examples() {
 
 #[test]
 fn every_cut_set_intersects_every_path_set_on_generated_trees() {
-    let solver = MpmcsSolver::sequential();
+    let solver = MpmcsSolver::new();
     for seed in [7, 8] {
         let tree = Family::RandomMixed.generate(80, seed);
         let cuts = solver
@@ -131,7 +131,7 @@ fn importance_table_is_consistent_with_the_mpmcs_ranking() {
     let tree = water_treatment_scada();
     let cut_sets = Mocus::new(&tree).minimal_cut_sets().expect("small tree");
     let table = ImportanceTable::compute(&tree, &cut_sets, exact_probability);
-    let solution = MpmcsSolver::sequential().solve(&tree).expect("solvable");
+    let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
     // The single most probable cut set here is a singleton; its event must
     // carry the highest Fussell–Vesely importance.
     assert_eq!(solution.cut_set.len(), 1);
@@ -150,7 +150,7 @@ fn importance_table_is_consistent_with_the_mpmcs_ranking() {
 #[test]
 fn beta_factor_ccf_shifts_the_mpmcs_towards_the_common_cause() {
     let tree = fire_protection_system();
-    let solver = MpmcsSolver::sequential();
+    let solver = MpmcsSolver::new();
     let baseline = solver.solve(&tree).expect("solvable");
     assert_eq!(baseline.event_names(&tree), vec!["x1", "x2"]);
     let group = CcfGroup {

@@ -39,7 +39,6 @@ fn mpmcs_is_x1_x2_for_every_algorithm() {
     let tree = fire_protection_system();
     for algorithm in [
         AlgorithmChoice::Portfolio,
-        AlgorithmChoice::SequentialPortfolio,
         AlgorithmChoice::Oll,
         AlgorithmChoice::LinearSu,
     ] {
@@ -59,7 +58,7 @@ fn mpmcs_is_x1_x2_for_every_algorithm() {
 fn all_engines_agree_on_the_example() {
     let tree = fire_protection_system();
 
-    let maxsat: Vec<CutSet> = MpmcsSolver::sequential()
+    let maxsat: Vec<CutSet> = MpmcsSolver::new()
         .enumerate(&tree, EnumerationLimit::All)
         .expect("solvable")
         .into_iter()
@@ -114,7 +113,7 @@ fn quantification_is_consistent_on_the_example() {
 #[test]
 fn parsers_round_trip_the_example_and_preserve_the_answer() {
     let tree = fire_protection_system();
-    let solver = MpmcsSolver::sequential();
+    let solver = MpmcsSolver::new();
     let reference = solver.solve(&tree).expect("solvable");
 
     let from_galileo = galileo::parse_galileo(&galileo::to_galileo_string(&tree)).expect("valid");

@@ -106,17 +106,6 @@ fn upload(addr: SocketAddr, path: &Path) -> String {
         .to_string()
 }
 
-/// The backend flags the CLI needs to mirror a server query: the server
-/// always runs the deterministic sequential portfolio, which the CLI only
-/// accepts (or needs) for the MaxSAT backend.
-fn cli_backend_flags(backend: &str) -> Vec<&str> {
-    if backend == "maxsat" {
-        vec!["--backend", backend, "--algorithm", "sequential"]
-    } else {
-        vec!["--backend", backend]
-    }
-}
-
 /// The identity matrix: every bundled model × backend, exercised by
 /// concurrent clients (one thread per combination — far more than four in
 /// flight at once). For each combination the server's `mpmcs`, `top-k` and
@@ -139,7 +128,7 @@ fn server_answers_are_byte_identical_to_the_cli_for_every_model_and_backend() {
                 let path = path.clone();
                 std::thread::spawn(move || {
                     let model = path.to_str().expect("UTF-8 path");
-                    let flags = cli_backend_flags(backend);
+                    let flags = ["--backend", backend];
 
                     // The MPMCS report.
                     let response = get(addr, &format!("/trees/{hash}/mpmcs?backend={backend}"));
@@ -222,9 +211,8 @@ fn analysis_endpoints_match_the_shared_renderers() {
             &format!("/trees/{hash}/probability?backend={backend}"),
         );
         assert_eq!(response.status, 200);
-        let mut analyzer = ft_session::Analyzer::for_shared(std::sync::Arc::clone(&tree))
-            .backend(kind)
-            .algorithm(mpmcs::AlgorithmChoice::SequentialPortfolio);
+        let mut analyzer =
+            ft_session::Analyzer::for_shared(std::sync::Arc::clone(&tree)).backend(kind);
         let resolved = analyzer.resolved_backend();
         let probability = analyzer.probability().expect("probability query succeeds");
         assert_eq!(
@@ -248,7 +236,7 @@ fn analysis_endpoints_match_the_shared_renderers() {
     assert_eq!(response.status, 200);
     assert_eq!(
         response.text(),
-        cli(&[model, "--algorithm", "sequential", "--sweep", "0:2:0.5"]),
+        cli(&[model, "--sweep", "0:2:0.5"]),
         "sweep (json) differs between server and CLI"
     );
     let response = get(
@@ -258,17 +246,30 @@ fn analysis_endpoints_match_the_shared_renderers() {
     assert_eq!(response.status, 200);
     assert_eq!(
         response.text(),
-        cli(&[
-            model,
-            "--algorithm",
-            "sequential",
-            "--sweep",
-            "0:2:0.5",
-            "--sweep-format",
-            "csv"
-        ]),
+        cli(&[model, "--sweep", "0:2:0.5", "--sweep-format", "csv"]),
         "sweep (csv) differs between server and CLI"
     );
+    handle.shutdown();
+}
+
+/// The CLI's `--analysis importance` and the server's importance endpoint on
+/// the MOCUS engine are the same facade query: for every bundled model their
+/// bytes agree, Fussell–Vesely digits included.
+#[test]
+fn cli_importance_is_byte_identical_to_the_mocus_importance_endpoint() {
+    let handle = start(2, 16);
+    let addr = handle.addr();
+    for path in bundled_models() {
+        let hash = upload(addr, &path);
+        let model = path.to_str().expect("UTF-8 path");
+        let response = get(addr, &format!("/trees/{hash}/importance?backend=mocus"));
+        assert_eq!(response.status, 200, "{model}: {}", response.text());
+        assert_eq!(
+            response.text(),
+            cli(&[model, "--analysis", "importance"]),
+            "{model}: importance differs between server and CLI"
+        );
+    }
     handle.shutdown();
 }
 

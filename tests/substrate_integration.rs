@@ -93,7 +93,6 @@ fn all_algorithms_agree_on_a_midsize_generated_tree() {
     let mut probabilities = Vec::new();
     for algorithm in [
         AlgorithmChoice::Portfolio,
-        AlgorithmChoice::SequentialPortfolio,
         AlgorithmChoice::Oll,
         AlgorithmChoice::LinearSu,
     ] {
