@@ -1,138 +1,140 @@
-//! BDD-based cut set analysis: minimal cut set enumeration and the BDD
-//! baseline for the MPMCS problem.
+//! Minimal cut set analysis of a fault tree over the ZBDD package.
+//!
+//! [`ZbddAnalysis`] compiles a fault tree bottom-up into the ZBDD of its
+//! **minimal cut sets** (Rauzy) — `union` for OR gates, `product` for AND
+//! gates, the same O(n·k) table as [`Bdd::at_least`](crate::Bdd::at_least)
+//! for `k`-out-of-`n` voting gates, each followed by the subsumption operator
+//! `minimal` — and then counts the family without enumerating it, enumerates
+//! it, or extracts the maximum-probability minimal cut set in time linear in
+//! the ZBDD size. It is the cut-set route of the BDD analysis backend.
 
-use std::fmt;
+use std::collections::HashMap;
 
-use fault_tree::{CutSet, EventId, FaultTree};
+use fault_tree::{CutSet, EventId, FaultTree, GateKind, NodeId};
 
-use crate::compile::{compile_fault_tree, CompiledTree, VariableOrdering};
+use crate::compile::{event_order, VariableOrdering};
+use crate::zbdd::{Zbdd, ZbddRef};
 
-/// Errors produced by the BDD-based analyses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BddAnalysisError {
-    /// The number of BDD paths exceeded the configured budget.
-    PathBudgetExceeded {
-        /// The configured budget.
-        budget: usize,
-    },
-    /// The tree has no cut set (the top event cannot occur).
-    NoCutSet,
-}
-
-impl fmt::Display for BddAnalysisError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BddAnalysisError::PathBudgetExceeded { budget } => {
-                write!(
-                    f,
-                    "BDD path enumeration exceeded the budget of {budget} paths"
-                )
-            }
-            BddAnalysisError::NoCutSet => write!(f, "the fault tree has no cut set"),
-        }
-    }
-}
-
-impl std::error::Error for BddAnalysisError {}
-
-/// Minimal cut set enumeration through a compiled BDD.
+/// Minimal cut sets of a fault tree, compiled bottom-up into a ZBDD.
 #[derive(Clone, Debug)]
-pub struct McsEnumeration {
-    compiled: CompiledTree,
-    max_paths: usize,
+pub struct ZbddAnalysis {
+    zbdd: Zbdd,
+    root: ZbddRef,
+    event_of_level: Vec<EventId>,
 }
 
-impl McsEnumeration {
-    /// Default budget on the number of enumerated BDD paths.
-    pub const DEFAULT_MAX_PATHS: usize = 1_000_000;
-
-    /// Compiles `tree` (depth-first ordering) and prepares the enumeration.
+impl ZbddAnalysis {
+    /// Compiles the minimal cut sets of `tree`.
+    ///
+    /// Events are ordered by first occurrence in a depth-first traversal from
+    /// the top ([`VariableOrdering::DepthFirst`], the structural heuristic the
+    /// BDD compiler defaults to).
     pub fn new(tree: &FaultTree) -> Self {
-        Self::with_ordering(tree, VariableOrdering::DepthFirst, Self::DEFAULT_MAX_PATHS)
-    }
-
-    /// Compiles `tree` with an explicit ordering and path budget.
-    pub fn with_ordering(tree: &FaultTree, ordering: VariableOrdering, max_paths: usize) -> Self {
-        McsEnumeration {
-            compiled: compile_fault_tree(tree, ordering),
-            max_paths,
+        let order = event_order(tree, VariableOrdering::DepthFirst);
+        let mut level_of_event = vec![0usize; tree.num_events()];
+        for (level, &event) in order.iter().enumerate() {
+            level_of_event[event.index()] = level;
+        }
+        let mut zbdd = Zbdd::new(tree.num_events());
+        let mut cache: HashMap<NodeId, ZbddRef> = HashMap::new();
+        let root = compile(tree, tree.top(), &level_of_event, &mut zbdd, &mut cache);
+        let root = zbdd.minimal(root);
+        ZbddAnalysis {
+            zbdd,
+            root,
+            event_of_level: order,
         }
     }
 
-    /// The compiled tree (for size statistics and probability queries).
-    pub fn compiled(&self) -> &CompiledTree {
-        &self.compiled
+    /// Number of minimal cut sets (without enumerating them).
+    pub fn count(&self) -> u128 {
+        self.zbdd.count_sets(self.root)
     }
 
-    /// Enumerates all minimal cut sets.
-    ///
-    /// Every path to the `true` terminal yields the set of events taken on
-    /// their high edge; for a monotone structure function every minimal cut
-    /// set appears among these sets, so an absorption pass (dropping sets
-    /// that contain another set) leaves exactly the minimal cut sets.
-    ///
-    /// # Errors
-    ///
-    /// [`BddAnalysisError::PathBudgetExceeded`] if the BDD has more paths than
-    /// the configured budget.
-    pub fn minimal_cut_sets(&self) -> Result<Vec<CutSet>, BddAnalysisError> {
-        let paths = self
-            .compiled
-            .bdd()
-            .true_paths(self.compiled.root(), self.max_paths)
-            .ok_or(BddAnalysisError::PathBudgetExceeded {
-                budget: self.max_paths,
-            })?;
-        let mut candidates: Vec<CutSet> = paths
+    /// Enumerates at most `max_sets` minimal cut sets.
+    pub fn minimal_cut_sets(&self, max_sets: usize) -> Vec<CutSet> {
+        self.zbdd
+            .sets(self.root, max_sets)
             .into_iter()
-            .map(|levels| {
-                levels
-                    .into_iter()
-                    .map(|level| self.compiled.event_at(level))
-                    .collect::<CutSet>()
-            })
+            .map(|levels| levels.into_iter().map(|l| self.event_of_level[l]).collect())
+            .collect()
+    }
+
+    /// The maximum-probability minimal cut set and its probability, extracted
+    /// in time linear in the ZBDD size.
+    pub fn maximum_probability_mcs(&self, tree: &FaultTree) -> Option<(CutSet, f64)> {
+        let weights: Vec<f64> = self
+            .event_of_level
+            .iter()
+            .map(|&event| tree.event(event).probability().value())
             .collect();
-        // Absorption: keep only inclusion-minimal sets. Sorting by size makes
-        // the filter a single forward pass.
-        candidates.sort_by_key(CutSet::len);
-        let mut minimal: Vec<CutSet> = Vec::new();
-        for candidate in candidates {
-            if !minimal.iter().any(|kept| kept.is_subset(&candidate)) {
-                minimal.push(candidate);
-            }
-        }
-        Ok(minimal)
-    }
-
-    /// The BDD baseline for the MPMCS problem: enumerate all minimal cut sets
-    /// and return the one with maximal joint probability.
-    ///
-    /// # Errors
-    ///
-    /// [`BddAnalysisError::NoCutSet`] when the tree has no cut set, or
-    /// [`BddAnalysisError::PathBudgetExceeded`] when enumeration is too large.
-    pub fn maximum_probability_mcs(
-        &self,
-        tree: &FaultTree,
-    ) -> Result<(CutSet, f64), BddAnalysisError> {
-        let all = self.minimal_cut_sets()?;
-        all.into_iter()
-            .map(|cut| {
-                let p = cut.probability(tree);
-                (cut, p)
+        self.zbdd
+            .best_weighted_set(self.root, &weights)
+            .map(|(levels, probability)| {
+                let cut: CutSet = levels.into_iter().map(|l| self.event_of_level[l]).collect();
+                (cut, probability)
             })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .ok_or(BddAnalysisError::NoCutSet)
     }
+}
 
-    /// Convenience: the events of every minimal cut set containing `event`.
-    pub fn cut_sets_containing(&self, event: EventId) -> Result<Vec<CutSet>, BddAnalysisError> {
-        Ok(self
-            .minimal_cut_sets()?
-            .into_iter()
-            .filter(|cut| cut.contains(event))
-            .collect())
+fn compile(
+    tree: &FaultTree,
+    node: NodeId,
+    level_of_event: &[usize],
+    zbdd: &mut Zbdd,
+    cache: &mut HashMap<NodeId, ZbddRef>,
+) -> ZbddRef {
+    if let Some(&cached) = cache.get(&node) {
+        return cached;
     }
+    let result = match node {
+        NodeId::Event(e) => zbdd.singleton(level_of_event[e.index()]),
+        NodeId::Gate(g) => {
+            let gate = tree.gate(g);
+            let children: Vec<ZbddRef> = gate
+                .inputs()
+                .iter()
+                .map(|&input| compile(tree, input, level_of_event, zbdd, cache))
+                .collect();
+            let combined = match gate.kind() {
+                GateKind::Or => {
+                    let mut acc = Zbdd::empty();
+                    for child in children {
+                        acc = zbdd.union(acc, child);
+                    }
+                    acc
+                }
+                GateKind::And => {
+                    let mut acc = Zbdd::base();
+                    for child in children {
+                        acc = zbdd.product(acc, child);
+                    }
+                    acc
+                }
+                GateKind::Vot { k } => at_least(zbdd, k, &children),
+            };
+            zbdd.minimal(combined)
+        }
+    };
+    cache.insert(node, result);
+    result
+}
+
+/// Cut sets of "at least `k` of the children fire", built with the O(n·k)
+/// table of [`Bdd::at_least`](crate::Bdd::at_least): `table[j]` holds the
+/// cut sets of "at least `j` of the children seen so far". The result may
+/// hold non-minimal sets; the caller minimises it.
+fn at_least(zbdd: &mut Zbdd, k: usize, children: &[ZbddRef]) -> ZbddRef {
+    let mut table = vec![Zbdd::empty(); k + 1];
+    table[0] = Zbdd::base();
+    for &child in children {
+        // Decreasing j, so each child is counted once.
+        for j in (1..=k).rev() {
+            let with = zbdd.product(child, table[j - 1]);
+            table[j] = zbdd.union(table[j], with);
+        }
+    }
+    table[k]
 }
 
 #[cfg(test)]
@@ -145,10 +147,9 @@ mod tests {
     #[test]
     fn fps_minimal_cut_sets_match_the_paper() {
         let tree = fire_protection_system();
-        let enumeration = McsEnumeration::new(&tree);
-        let mut cut_sets: Vec<String> = enumeration
-            .minimal_cut_sets()
-            .expect("small tree")
+        let analysis = ZbddAnalysis::new(&tree);
+        let mut cut_sets: Vec<String> = analysis
+            .minimal_cut_sets(usize::MAX)
             .iter()
             .map(|c| c.display_names(&tree))
             .collect();
@@ -158,7 +159,7 @@ mod tests {
             vec!["{x1, x2}", "{x3}", "{x4}", "{x5, x6}", "{x5, x7}"]
         );
         // Every reported set is a verified minimal cut set.
-        for cut in enumeration.minimal_cut_sets().unwrap() {
+        for cut in analysis.minimal_cut_sets(usize::MAX) {
             assert!(tree.is_minimal_cut_set(&cut));
         }
     }
@@ -166,8 +167,7 @@ mod tests {
     #[test]
     fn fps_mpmcs_is_x1_x2() {
         let tree = fire_protection_system();
-        let enumeration = McsEnumeration::new(&tree);
-        let (cut, probability) = enumeration
+        let (cut, probability) = ZbddAnalysis::new(&tree)
             .maximum_probability_mcs(&tree)
             .expect("has cuts");
         assert_eq!(cut.display_names(&tree), "{x1, x2}");
@@ -177,12 +177,10 @@ mod tests {
     #[test]
     fn pressure_tank_has_three_minimal_cut_sets() {
         let tree = pressure_tank_system();
-        let enumeration = McsEnumeration::new(&tree);
-        let cut_sets = enumeration.minimal_cut_sets().expect("small tree");
-        assert_eq!(cut_sets.len(), 3);
-        let (cut, probability) = enumeration
-            .maximum_probability_mcs(&tree)
-            .expect("has cuts");
+        let analysis = ZbddAnalysis::new(&tree);
+        assert_eq!(analysis.count(), 3);
+        assert_eq!(analysis.minimal_cut_sets(usize::MAX).len(), 3);
+        let (cut, probability) = analysis.maximum_probability_mcs(&tree).expect("has cuts");
         assert_eq!(cut.display_names(&tree), "{tank rupture (mechanical)}");
         assert!((probability - 1e-5).abs() < 1e-15);
     }
@@ -190,22 +188,30 @@ mod tests {
     #[test]
     fn voting_gate_cut_sets_are_the_pairs() {
         let tree = redundant_sensor_network();
-        let enumeration = McsEnumeration::new(&tree);
-        let cut_sets = enumeration.minimal_cut_sets().expect("small tree");
+        let cut_sets = ZbddAnalysis::new(&tree).minimal_cut_sets(usize::MAX);
         // 3 sensor pairs + bus + power = 5 minimal cut sets.
         assert_eq!(cut_sets.len(), 5);
         let s1 = tree.event_by_name("sensor 1 fails").unwrap();
-        let containing_s1 = enumeration.cut_sets_containing(s1).expect("small tree");
-        assert_eq!(containing_s1.len(), 2);
+        assert_eq!(cut_sets.iter().filter(|c| c.contains(s1)).count(), 2);
+    }
+
+    #[test]
+    fn wide_voting_gates_expand_in_polynomial_time() {
+        // 20-of-40: C(40, 20) minimal cut sets, counted without enumeration.
+        // The expansion must stay polynomial in n and k to finish at all.
+        let tree = ft_generators::wide_voting(20, 40, 1);
+        assert_eq!(ZbddAnalysis::new(&tree).count(), 137_846_528_820);
     }
 
     #[test]
     fn path_budget_is_enforced() {
+        // Enumeration stops at the budget; the count still sees every set.
         let tree = fire_protection_system();
-        let enumeration = McsEnumeration::with_ordering(&tree, VariableOrdering::DepthFirst, 1);
-        assert!(matches!(
-            enumeration.minimal_cut_sets(),
-            Err(BddAnalysisError::PathBudgetExceeded { .. })
-        ));
+        let analysis = ZbddAnalysis::new(&tree);
+        let within = analysis.minimal_cut_sets(1);
+        assert_eq!(within.len(), 1);
+        assert!(tree.is_minimal_cut_set(&within[0]));
+        assert!(analysis.minimal_cut_sets(0).is_empty());
+        assert_eq!(analysis.count(), 5);
     }
 }

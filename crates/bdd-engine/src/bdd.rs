@@ -293,48 +293,6 @@ impl Bdd {
         }
         seen.len()
     }
-
-    /// Enumerates the `true`-sets of all paths from `node` to the `true`
-    /// terminal: for each path, the set of variable levels taken on their
-    /// high edge. Stops with `None` if more than `max_paths` paths exist.
-    ///
-    /// For a monotone function these sets form a superset of the minimal cut
-    /// sets (every minimal cut set appears as one of them).
-    pub fn true_paths(&self, node: BddRef, max_paths: usize) -> Option<Vec<Vec<usize>>> {
-        fn walk(
-            bdd: &Bdd,
-            node: BddRef,
-            current: &mut Vec<usize>,
-            out: &mut Vec<Vec<usize>>,
-            max_paths: usize,
-        ) -> bool {
-            if out.len() > max_paths {
-                return false;
-            }
-            if node == BddRef::FALSE {
-                return true;
-            }
-            if node == BddRef::TRUE {
-                out.push(current.clone());
-                return out.len() <= max_paths;
-            }
-            let n = bdd.nodes[node.index()];
-            if !walk(bdd, n.low, current, out, max_paths) {
-                return false;
-            }
-            current.push(n.var as usize);
-            let ok = walk(bdd, n.high, current, out, max_paths);
-            current.pop();
-            ok
-        }
-        let mut out = Vec::new();
-        let mut current = Vec::new();
-        if walk(self, node, &mut current, &mut out, max_paths) {
-            Some(out)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -414,27 +372,6 @@ mod tests {
         assert!((bdd.probability(or, &probabilities) - 0.28).abs() < 1e-12);
         assert_eq!(bdd.probability(BddRef::TRUE, &probabilities), 1.0);
         assert_eq!(bdd.probability(BddRef::FALSE, &probabilities), 0.0);
-    }
-
-    #[test]
-    fn true_paths_enumerates_cut_sets_of_monotone_functions() {
-        let mut bdd = Bdd::new(3);
-        let x = bdd.var(0);
-        let y = bdd.var(1);
-        let z = bdd.var(2);
-        // f = (x ∧ y) ∨ z.
-        let xy = bdd.and(x, y);
-        let f = bdd.or(xy, z);
-        let mut paths = bdd.true_paths(f, 100).expect("few paths");
-        for path in &mut paths {
-            path.sort_unstable();
-        }
-        paths.sort();
-        // Every minimal cut set ({z} and {x, y}) appears among the paths.
-        assert!(paths.contains(&vec![2]));
-        assert!(paths.contains(&vec![0, 1]));
-        // The cap is honoured.
-        assert!(bdd.true_paths(f, 0).is_none());
     }
 
     #[test]

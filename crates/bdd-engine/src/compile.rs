@@ -73,7 +73,9 @@ pub fn compile_fault_tree(tree: &FaultTree, ordering: VariableOrdering) -> Compi
     }
 }
 
-fn event_order(tree: &FaultTree, ordering: VariableOrdering) -> Vec<EventId> {
+/// The events of `tree` in level order under `ordering` (shared with the
+/// ZBDD compiler).
+pub(crate) fn event_order(tree: &FaultTree, ordering: VariableOrdering) -> Vec<EventId> {
     match ordering {
         VariableOrdering::Natural => tree.event_ids().collect(),
         VariableOrdering::DepthFirst => {

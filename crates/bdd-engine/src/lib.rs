@@ -9,11 +9,11 @@
 //! * compilation of a [`fault_tree::FaultTree`] into a BDD
 //!   ([`compile_fault_tree`]) under configurable variable orderings;
 //! * exact top-event probability by Shannon decomposition
-//!   ([`Bdd::probability`]);
-//! * minimal cut set extraction and a BDD-based MPMCS baseline
-//!   ([`analysis`]);
-//! * a zero-suppressed BDD (ZBDD) package with bottom-up minimal cut set
-//!   compilation, counting and a linear-time MPMCS extraction ([`zbdd`]).
+//!   ([`Bdd::probability`]), and cheap requantification of one compiled
+//!   diagram under new event probabilities ([`CompiledTree::requantifier`]);
+//! * bottom-up compilation of the minimal cut sets into a zero-suppressed
+//!   BDD (ZBDD), with counting, enumeration and a linear-time MPMCS
+//!   extraction ([`ZbddAnalysis`]).
 //!
 //! # Example
 //!
@@ -31,12 +31,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod analysis;
+mod analysis;
 mod bdd;
 mod compile;
-pub mod zbdd;
+mod zbdd;
 
-pub use analysis::{BddAnalysisError, McsEnumeration};
+pub use analysis::ZbddAnalysis;
 pub use bdd::{Bdd, BddRef, ProbabilityScratch};
 pub use compile::{compile_fault_tree, CompiledTree, Requantifier, VariableOrdering};
-pub use zbdd::{Zbdd, ZbddAnalysis, ZbddRef};

@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use bdd_engine::McsEnumeration;
+use bdd_engine::VariableOrdering;
 use ft_analysis::mocus::Mocus;
+use ft_backend::{AnalysisBackend, BddBackend};
 use ft_bench::bench_trees;
 use ft_generators::Family;
 use mpmcs::MpmcsSolver;
@@ -21,18 +22,11 @@ fn bench_baselines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("maxsat", name), tree, |b, tree| {
             b.iter(|| black_box(solver.solve(black_box(tree)).expect("solvable")));
         });
-        // Budget-capped baselines: full enumeration plus absorption is
-        // quadratic in the cut-set count and would dominate the benchmark run
-        // otherwise (see EXPERIMENTS.md, E5).
+        // Budget-capped baselines: full enumeration grows with the cut-set
+        // count and would dominate the benchmark run otherwise (see E5).
+        let bdd = BddBackend::new(VariableOrdering::DepthFirst, 20_000);
         group.bench_with_input(BenchmarkId::new("bdd", name), tree, |b, tree| {
-            b.iter(|| {
-                let enumeration = McsEnumeration::with_ordering(
-                    black_box(tree),
-                    bdd_engine::VariableOrdering::DepthFirst,
-                    20_000,
-                );
-                black_box(enumeration.maximum_probability_mcs(tree).ok())
-            });
+            b.iter(|| black_box(bdd.mpmcs(black_box(tree)).ok()));
         });
         group.bench_with_input(BenchmarkId::new("mocus", name), tree, |b, tree| {
             b.iter(|| {

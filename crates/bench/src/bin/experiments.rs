@@ -132,10 +132,11 @@ fn main() -> ExitCode {
             "backend-comparison" => {
                 // Classical engines enumerate every cut set, so the sweep
                 // stays in the size band where all three backends are exact
-                // and in budget: past ~100 nodes the raw BDD true-path
-                // enumeration on the random-mixed family exceeds any
-                // reasonable path budget (which is the paper's very point —
-                // only the MaxSAT pipeline scales past it, measured by E3).
+                // and in budget: the random-mixed family's minimal-cut-set
+                // count grows past ten thousand by ~160 nodes, and the BDD
+                // engine's ZBDD and MOCUS both enumerate the whole family for
+                // every query (which is the paper's very point — only the
+                // MaxSAT pipeline scales past it, measured by E3).
                 if quick {
                     backend_comparison(&[40, 80], SEED)
                 } else {

@@ -14,11 +14,11 @@
 
 use std::time::{Duration, Instant};
 
-use bdd_engine::{McsEnumeration, VariableOrdering};
+use bdd_engine::VariableOrdering;
 use fault_tree::examples::fire_protection_system;
 use fault_tree::{FailureModel, FaultTree, StructuralAnalysis};
 use ft_analysis::mocus::Mocus;
-use ft_backend::{backend_for, BackendConfig, BackendKind};
+use ft_backend::{backend_for, AnalysisBackend, BackendConfig, BackendKind, BddBackend};
 use ft_generators::Family;
 use mpmcs::{AlgorithmChoice, EncodingStyle, MpmcsOptions, MpmcsReport, MpmcsSolver, WeightScale};
 
@@ -167,7 +167,8 @@ pub struct BaselineRow {
     pub target_nodes: usize,
     /// MaxSAT solve time.
     pub maxsat_time: Duration,
-    /// BDD compile + enumerate time (`None` if the path budget blew up).
+    /// BDD (ZBDD compile + enumerate) time (`None` if the cut-set budget
+    /// blew up).
     pub bdd_time: Option<Duration>,
     /// MOCUS time (`None` if the budget blew up).
     pub mocus_time: Option<Duration>,
@@ -184,18 +185,15 @@ pub fn baseline_rows(sizes: &[usize], seed: u64) -> Vec<BaselineRow> {
             let tree = family.generate(size, seed);
             let (solution, maxsat_time) =
                 timed(|| solver.solve(&tree).expect("generated trees have cut sets"));
-            // The enumerative baselines carry tight budgets: their cost is
-            // quadratic in the number of candidate cut sets (absorption), so
-            // without a cap the comparison would simply hang on OR-heavy
-            // trees — which is precisely the behaviour the MaxSAT approach
-            // avoids.
+            // The enumerative baselines carry tight budgets: their cost grows
+            // with the number of cut sets, so without a cap the comparison
+            // would simply hang on OR-heavy trees — which is precisely the
+            // behaviour the MaxSAT approach avoids.
             let (bdd_result, bdd_time) = timed(|| {
-                let enumeration = McsEnumeration::with_ordering(
-                    &tree,
-                    bdd_engine::VariableOrdering::DepthFirst,
-                    20_000,
-                );
-                enumeration.maximum_probability_mcs(&tree).ok()
+                BddBackend::new(VariableOrdering::DepthFirst, 20_000)
+                    .mpmcs(&tree)
+                    .ok()
+                    .map(|best| (best.cut_set, best.probability))
             });
             let (mocus_result, mocus_time) = timed(|| {
                 Mocus::with_budget(&tree, 20_000)

@@ -11,6 +11,10 @@
 //! * **Fussell–Vesely importance** `I_FV(e)`: the fraction of the top-event
 //!   probability attributable to cut sets containing `e` (computed with the
 //!   min-cut upper bound, the standard practice).
+//!
+//! [`ImportanceTable::compute`] adds Risk Achievement Worth, Risk Reduction
+//! Worth, criticality and structural importance, deriving the first three
+//! from the same conditioned probabilities as Birnbaum importance.
 
 use fault_tree::{CutSet, EventId, FaultTree, Probability};
 
@@ -63,72 +67,6 @@ pub fn fussell_vesely(tree: &FaultTree, cut_sets: &[CutSet]) -> Vec<f64> {
         .collect()
 }
 
-/// Risk Achievement Worth: `RAW(e) = P(top | p(e)=1) / P(top)`.
-///
-/// How much worse the system gets if the component is assumed failed; the
-/// standard measure for deciding which components deserve redundancy.
-/// Events get a RAW of 0 by convention when the baseline probability is 0.
-pub fn risk_achievement_worth<F>(tree: &FaultTree, mut top_probability: F) -> Vec<f64>
-where
-    F: FnMut(&FaultTree) -> f64,
-{
-    let baseline = top_probability(tree);
-    tree.event_ids()
-        .map(|event| {
-            if baseline <= 0.0 {
-                return 0.0;
-            }
-            top_probability(&probability_with(tree, event, 1.0)) / baseline
-        })
-        .collect()
-}
-
-/// Risk Reduction Worth: `RRW(e) = P(top) / P(top | p(e)=0)`.
-///
-/// How much the system improves if the component were made perfect;
-/// `f64::INFINITY` when removing the event makes the top event impossible.
-pub fn risk_reduction_worth<F>(tree: &FaultTree, mut top_probability: F) -> Vec<f64>
-where
-    F: FnMut(&FaultTree) -> f64,
-{
-    let baseline = top_probability(tree);
-    tree.event_ids()
-        .map(|event| {
-            let reduced = top_probability(&probability_with(tree, event, 0.0));
-            if reduced <= 0.0 {
-                if baseline <= 0.0 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                baseline / reduced
-            }
-        })
-        .collect()
-}
-
-/// Criticality importance: `I_C(e) = I_B(e) · p(e) / P(top)`.
-///
-/// The probability that the event is both critical and occurring, given that
-/// the top event occurred — Birnbaum importance weighted by how likely the
-/// event actually is.
-pub fn criticality<F>(tree: &FaultTree, mut top_probability: F) -> Vec<f64>
-where
-    F: FnMut(&FaultTree) -> f64,
-{
-    let baseline = top_probability(tree);
-    let birnbaum_values = birnbaum(tree, &mut top_probability);
-    tree.event_ids()
-        .map(|event| {
-            if baseline <= 0.0 {
-                return 0.0;
-            }
-            birnbaum_values[event.index()] * tree.event(event).probability().value() / baseline
-        })
-        .collect()
-}
-
 /// Structural importance: Birnbaum importance evaluated with every event
 /// probability set to `1/2` — the fraction of configurations of the other
 /// events in which this event is critical. Depends only on the tree
@@ -171,16 +109,63 @@ pub struct ImportanceTable {
 impl ImportanceTable {
     /// Computes every measure from an exact top-probability oracle and the
     /// minimal cut sets.
+    ///
+    /// The oracle runs `4n + 1` times for `n` events: once on `tree`, once
+    /// with each event forced to 1 and to 0, and `2n` times for structural
+    /// importance. The probabilistic measures all derive from the first
+    /// `2n + 1` answers:
+    ///
+    /// * Birnbaum `I_B(e) = P(top | p(e)=1) − P(top | p(e)=0)`;
+    /// * Risk Achievement Worth `RAW(e) = P(top | p(e)=1) / P(top)` — how
+    ///   much worse the system gets if the component is assumed failed
+    ///   (0 by convention when `P(top)` is 0);
+    /// * Risk Reduction Worth `RRW(e) = P(top) / P(top | p(e)=0)` — how much
+    ///   the system improves if the component were made perfect
+    ///   (`f64::INFINITY` when that makes the top event impossible, 1 when
+    ///   the top event is impossible anyway);
+    /// * criticality `I_C(e) = I_B(e) · p(e) / P(top)` — the probability
+    ///   that the event is both critical and occurring, given that the top
+    ///   event occurred (0 when `P(top)` is 0).
     pub fn compute<F>(tree: &FaultTree, cut_sets: &[CutSet], mut top_probability: F) -> Self
     where
         F: FnMut(&FaultTree) -> f64,
     {
+        let baseline = top_probability(tree);
+        let n = tree.num_events();
+        let (mut birnbaum, mut raw, mut rrw, mut criticality) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for event in tree.event_ids() {
+            let with = top_probability(&probability_with(tree, event, 1.0));
+            let without = top_probability(&probability_with(tree, event, 0.0));
+            let b = with - without;
+            birnbaum.push(b);
+            if baseline <= 0.0 {
+                raw.push(0.0);
+                criticality.push(0.0);
+            } else {
+                raw.push(with / baseline);
+                criticality.push(b * tree.event(event).probability().value() / baseline);
+            }
+            rrw.push(if without <= 0.0 {
+                if baseline <= 0.0 {
+                    1.0
+                } else {
+                    f64::INFINITY
+                }
+            } else {
+                baseline / without
+            });
+        }
         ImportanceTable {
-            birnbaum: birnbaum(tree, &mut top_probability),
+            birnbaum,
             fussell_vesely: fussell_vesely(tree, cut_sets),
-            raw: risk_achievement_worth(tree, &mut top_probability),
-            rrw: risk_reduction_worth(tree, &mut top_probability),
-            criticality: criticality(tree, &mut top_probability),
+            raw,
+            rrw,
+            criticality,
             structural: structural(tree, &mut top_probability),
         }
     }
@@ -297,12 +282,16 @@ mod extended_tests {
     use crate::mocus::Mocus;
     use fault_tree::examples::{fire_protection_system, pressure_tank_system};
 
+    fn table(tree: &FaultTree) -> ImportanceTable {
+        let cut_sets = Mocus::new(tree).minimal_cut_sets().unwrap();
+        ImportanceTable::compute(tree, &cut_sets, brute::exact_top_event_probability)
+    }
+
     #[test]
     fn raw_and_rrw_are_at_least_one_for_contributing_events() {
         let tree = fire_protection_system();
-        let raw = risk_achievement_worth(&tree, brute::exact_top_event_probability);
-        let rrw = risk_reduction_worth(&tree, brute::exact_top_event_probability);
-        for (i, (&a, &r)) in raw.iter().zip(&rrw).enumerate() {
+        let table = table(&tree);
+        for (i, (&a, &r)) in table.raw.iter().zip(&table.rrw).enumerate() {
             assert!(a >= 1.0 - 1e-12, "RAW of event {i} is {a}");
             assert!(r >= 1.0 - 1e-12, "RRW of event {i} is {r}");
         }
@@ -310,7 +299,7 @@ mod extended_tests {
         // top event: RAW(x3) = 1 / P(top).
         let x3 = tree.event_by_name("x3").unwrap();
         let baseline = brute::exact_top_event_probability(&tree);
-        assert!((raw[x3.index()] - 1.0 / baseline).abs() < 1e-9);
+        assert!((table.raw[x3.index()] - 1.0 / baseline).abs() < 1e-9);
     }
 
     #[test]
@@ -321,22 +310,37 @@ mod extended_tests {
         let c = b.basic_event("c", 0.3).unwrap();
         let top = b.and_gate("top", [a.into(), c.into()]).unwrap();
         let tree = b.build(top.into()).unwrap();
-        let rrw = risk_reduction_worth(&tree, brute::exact_top_event_probability);
-        assert!(rrw.iter().all(|r| r.is_infinite()));
+        assert!(table(&tree).rrw.iter().all(|r| r.is_infinite()));
     }
 
     #[test]
     fn criticality_is_birnbaum_weighted_by_probability_share() {
         let tree = fire_protection_system();
         let baseline = brute::exact_top_event_probability(&tree);
-        let b_values = birnbaum(&tree, brute::exact_top_event_probability);
-        let c_values = criticality(&tree, brute::exact_top_event_probability);
+        let table = table(&tree);
+        assert_eq!(
+            table.birnbaum,
+            birnbaum(&tree, brute::exact_top_event_probability)
+        );
         for event in tree.event_ids() {
             let expected =
-                b_values[event.index()] * tree.event(event).probability().value() / baseline;
-            assert!((c_values[event.index()] - expected).abs() < 1e-12);
-            assert!((0.0..=1.0 + 1e-12).contains(&c_values[event.index()]));
+                table.birnbaum[event.index()] * tree.event(event).probability().value() / baseline;
+            let got = table.criticality[event.index()];
+            assert!((got - expected).abs() < 1e-12);
+            assert!((0.0..=1.0 + 1e-12).contains(&got));
         }
+    }
+
+    #[test]
+    fn compute_queries_the_oracle_four_times_per_event_plus_once() {
+        let tree = fire_protection_system();
+        let cut_sets = Mocus::new(&tree).minimal_cut_sets().unwrap();
+        let mut calls = 0;
+        ImportanceTable::compute(&tree, &cut_sets, |t: &FaultTree| {
+            calls += 1;
+            brute::exact_top_event_probability(t)
+        });
+        assert_eq!(calls, 4 * tree.num_events() + 1);
     }
 
     #[test]
@@ -357,9 +361,7 @@ mod extended_tests {
     #[test]
     fn importance_table_renders_every_event_sorted_by_criticality() {
         for tree in [fire_protection_system(), pressure_tank_system()] {
-            let cut_sets = Mocus::new(&tree).minimal_cut_sets().unwrap();
-            let table =
-                ImportanceTable::compute(&tree, &cut_sets, brute::exact_top_event_probability);
+            let table = table(&tree);
             assert_eq!(table.birnbaum.len(), tree.num_events());
             let text = table.render(&tree);
             for event in tree.events() {

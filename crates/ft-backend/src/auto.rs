@@ -121,8 +121,8 @@ fn elementary_symmetric(values: &[u64], k: usize) -> u64 {
 }
 
 /// The BDD engine is only auto-picked while the structural cut-set estimate
-/// stays enumerable: its cut-set queries walk every true-path of the
-/// diagram, and the path count tracks the cut-set family, not the diagram
+/// stays enumerable: its cut-set queries enumerate the whole minimal-cut-set
+/// family out of the ZBDD, so their cost tracks the family, not the diagram
 /// width.
 const BDD_MAX_MCS_ESTIMATE: u64 = 100_000;
 
@@ -132,7 +132,7 @@ const BDD_MAX_MCS_ESTIMATE: u64 = 100_000;
 ///   expansion is cheapest and needs no encoding at all);
 /// * moderate size, little event sharing and an enumerable cut-set estimate
 ///   → [`BackendKind::Bdd`] (exact probabilities for free, enumeration
-///   linear in paths);
+///   linear in cut sets);
 /// * everything else → [`BackendKind::MaxSat`] (the only engine whose cost
 ///   does not scale with the number of cut sets — the paper's thesis).
 pub fn choose_backend(tree: &FaultTree) -> BackendKind {
@@ -199,7 +199,7 @@ mod tests {
     fn exploding_cut_set_families_fall_back_to_maxsat() {
         // A ~200-node random tree: few shared events (the width proxy would
         // admit a BDD), but the structural cut-set estimate is far past
-        // anything path enumeration can walk — only MaxSAT scales there.
+        // anything cut-set enumeration can walk — only MaxSAT scales there.
         let tree =
             ft_generators::random_tree(&ft_generators::RandomTreeConfig::with_total_nodes(200), 9);
         let features = StructuralFeatures::of(&tree);

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use bdd_engine::{compile_fault_tree, BddAnalysisError, McsEnumeration, VariableOrdering};
+use bdd_engine::{compile_fault_tree, VariableOrdering, ZbddAnalysis};
 use fault_tree::FaultTree;
 
 use crate::solution::{canonical_sort, charge_first, BackendSolution};
@@ -10,40 +10,32 @@ use crate::{AnalysisBackend, BackendError};
 
 /// The classical exact BDD engine as an analysis backend.
 ///
-/// Cut-set queries compile the tree into an ROBDD (under the configured
-/// variable ordering) and enumerate its true-paths; the exact top-event
-/// probability is a single Shannon-decomposition sweep over the compiled
-/// diagram — no enumeration and no budget involved, which is the BDD's
-/// classical strength.
+/// Cut-set queries compile the tree's minimal cut sets bottom-up into a ZBDD
+/// ([`ZbddAnalysis`]), count them, and enumerate them only when the count is
+/// within the cut-set budget. The exact top-event probability is a single
+/// Shannon-decomposition sweep over the ROBDD compiled under the configured
+/// variable ordering — no enumeration and no budget involved, which is the
+/// BDD's classical strength.
 #[derive(Clone, Debug)]
 pub struct BddBackend {
     ordering: VariableOrdering,
-    max_paths: usize,
+    max_cut_sets: usize,
 }
 
 impl BddBackend {
-    /// Creates the backend with an explicit variable ordering and path
-    /// budget (see [`BackendConfig`](crate::BackendConfig)).
-    pub fn new(ordering: VariableOrdering, max_paths: usize) -> Self {
+    /// Creates the backend with an explicit ROBDD variable ordering and a
+    /// budget on the number of minimal cut sets a cut-set query may
+    /// enumerate (see [`BackendConfig`](crate::BackendConfig)).
+    pub fn new(ordering: VariableOrdering, max_cut_sets: usize) -> Self {
         BddBackend {
             ordering,
-            max_paths,
+            max_cut_sets,
         }
     }
 
     /// The variable ordering in effect.
     pub fn ordering(&self) -> VariableOrdering {
         self.ordering
-    }
-}
-
-fn map_error(error: BddAnalysisError) -> BackendError {
-    match error {
-        BddAnalysisError::NoCutSet => BackendError::NoCutSet,
-        BddAnalysisError::PathBudgetExceeded { .. } => BackendError::Budget {
-            backend: "bdd",
-            detail: error.to_string(),
-        },
     }
 }
 
@@ -64,12 +56,22 @@ impl AnalysisBackend for BddBackend {
 
     fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError> {
         let start = Instant::now();
-        let enumeration = McsEnumeration::with_ordering(tree, self.ordering, self.max_paths);
-        let cut_sets = enumeration.minimal_cut_sets().map_err(map_error)?;
-        if cut_sets.is_empty() {
+        let zbdd = ZbddAnalysis::new(tree);
+        let count = zbdd.count();
+        if count > self.max_cut_sets as u128 {
+            return Err(BackendError::Budget {
+                backend: self.name(),
+                detail: format!(
+                    "the ZBDD holds {count} minimal cut sets, more than the budget of {}",
+                    self.max_cut_sets
+                ),
+            });
+        }
+        if count == 0 {
             return Err(BackendError::NoCutSet);
         }
-        let mut solutions: Vec<BackendSolution> = cut_sets
+        let mut solutions: Vec<BackendSolution> = zbdd
+            .minimal_cut_sets(self.max_cut_sets)
             .into_iter()
             .map(|cut| BackendSolution::from_cut(tree, cut, self.name()))
             .collect();
@@ -99,6 +101,7 @@ impl AnalysisBackend for BddBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BackendConfig;
     use fault_tree::examples::{fire_protection_system, redundant_sensor_network};
 
     #[test]
@@ -123,6 +126,32 @@ mod tests {
         assert_eq!(
             backend.mpmcs(&tree).unwrap().event_names(&tree),
             vec!["field bus fails"]
+        );
+    }
+
+    #[test]
+    fn cut_set_budget_counts_cut_sets_not_paths() {
+        // 72 minimal cut sets behind more than a million ROBDD true-paths.
+        let tree = ft_generators::Family::SharedModules.generate(80, 0);
+        let config = BackendConfig::default();
+        let answered = BddBackend::new(config.bdd_ordering, config.bdd_path_budget)
+            .all_mcs(&tree)
+            .expect("72 cut sets are within the default budget");
+        assert_eq!(answered.len(), 72);
+        let starved = BddBackend::new(VariableOrdering::DepthFirst, 71);
+        match starved.all_mcs(&tree) {
+            Err(BackendError::Budget { backend, detail }) => {
+                assert_eq!(backend, "bdd");
+                assert!(detail.contains("72 minimal cut sets"), "{detail}");
+            }
+            other => panic!("expected a budget error, got {other:?}"),
+        }
+        assert_eq!(
+            BddBackend::new(VariableOrdering::DepthFirst, 72)
+                .all_mcs(&tree)
+                .expect("exactly at the budget")
+                .len(),
+            72
         );
     }
 

@@ -11,8 +11,9 @@
 //!   top-event probability;
 //! * [`MaxSatBackend`] — the paper's pipeline, wrapping the incremental
 //!   [`mpmcs::MpmcsSolver`];
-//! * [`BddBackend`] — the classical exact engine, wrapping
-//!   [`bdd_engine::McsEnumeration`] and Shannon-decomposition probabilities;
+//! * [`BddBackend`] — the classical exact engine: minimal cut sets from a
+//!   ZBDD ([`bdd_engine::ZbddAnalysis`]), probabilities by Shannon
+//!   decomposition of an ROBDD;
 //! * [`MocusBackend`] — the classic top-down cut-set generator, wrapping
 //!   [`ft_analysis::mocus::Mocus`] plus an exact pivotal-decomposition
 //!   quantification over the enumerated cut sets;
@@ -129,11 +130,15 @@ pub struct BackendConfig {
     pub algorithm: AlgorithmChoice,
     /// The SAT branching heuristic used by [`MaxSatBackend`]'s solvers.
     pub branching: BranchingChoice,
-    /// The BDD variable ordering used by [`BddBackend`].
+    /// The ROBDD variable ordering [`BddBackend`] quantifies under (its
+    /// ZBDD cut-set route always orders events depth-first).
     pub bdd_ordering: VariableOrdering,
     /// Budget on intermediate MOCUS sets ([`MocusBackend`]).
     pub mocus_budget: usize,
-    /// Budget on enumerated BDD paths ([`BddBackend`]).
+    /// Budget on the minimal cut sets a [`BddBackend`] cut-set query may
+    /// enumerate; the ZBDD counts the family first, so a query over budget
+    /// fails before enumerating anything. (The name predates the ZBDD route,
+    /// when the budget capped ROBDD paths.)
     pub bdd_path_budget: usize,
     /// Budget on the pivotal-decomposition recursion nodes the MCS-based
     /// backends (MOCUS, MaxSAT) may spend computing the exact
@@ -209,7 +214,7 @@ impl std::error::Error for BackendError {}
 /// before the query completed or was stopped, plus the stop cause (if any).
 ///
 /// Only the MaxSAT engine is *anytime* — a stopped query still reports the
-/// canonical prefix it had proven. The classical engines (BDD path walks,
+/// canonical prefix it had proven. The classical engines (ZBDD compilation,
 /// MOCUS expansion) compute the full family before any solution is known, so
 /// a stopped query reports an empty prefix; either way the partial result is
 /// well-labelled rather than silently wrong.

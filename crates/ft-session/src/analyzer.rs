@@ -152,8 +152,8 @@ impl Analyzer {
         self
     }
 
-    /// Selects the BDD variable ordering (BDD backend and the importance
-    /// table's exact probability). Resets the warm state.
+    /// Selects the ROBDD variable ordering (the BDD backend's exact
+    /// probabilities and the importance table's). Resets the warm state.
     pub fn bdd_ordering(mut self, ordering: VariableOrdering) -> Self {
         self.config.bdd_ordering = ordering;
         self.reset();
@@ -700,59 +700,14 @@ impl Analyzer {
         }
     }
 
-    /// Per-event importance tables over a mission-time grid — one
-    /// [`ImportanceReport`] per grid point, each bit-identical to the point
-    /// [`Analyzer::importance`] query against [`FaultTree::at_time`]`(t)`.
-    ///
-    /// The two structural solves are amortized across the whole grid: the
-    /// minimal-cut-set family is enumerated once (it depends on the structure
-    /// alone, so each point only re-establishes the canonical weight-
-    /// dependent order), and the exact-probability oracle compiles the ROBDD
-    /// once and re-quantifies it per conditioned probability vector.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Analyzer::importance`]: a budget-stopped family
-    /// enumeration surfaces as [`SessionError::Stopped`].
-    pub fn importance_sweep(
-        &mut self,
-        grid: &[f64],
-    ) -> Result<Vec<ImportanceReport>, SessionError> {
-        let family = self.all_mcs()?;
-        if family.is_truncated() {
-            return Err(SessionError::Stopped(family.termination));
-        }
-        let cuts: Vec<CutSet> = family
-            .solutions
-            .into_iter()
-            .map(|solution| solution.cut_set)
-            .collect();
-        let compiled = bdd_engine::compile_fault_tree(&self.tree, self.config.bdd_ordering);
-        let mut requantifier = compiled.requantifier();
-        let mut reports = Vec::with_capacity(grid.len());
-        for &t in grid {
-            let tree_t = self.tree.at_time(t);
-            // The point query's family arrives in the canonical order at
-            // `t`; re-establish it so order-sensitive sums match bit for bit.
-            let mut solutions: Vec<BackendSolution> = cuts
-                .iter()
-                .map(|cut| BackendSolution::from_cut(&tree_t, cut.clone(), "maxsat"))
-                .collect();
-            ft_backend::canonical_sort(&tree_t, &mut solutions);
-            let cuts_t: Vec<CutSet> = solutions.into_iter().map(|s| s.cut_set).collect();
-            let exact = |conditioned: &FaultTree| {
-                requantifier
-                    .probability_with(|event| conditioned.event(event).probability().value())
-            };
-            let table = ft_analysis::importance::ImportanceTable::compute(&tree_t, &cuts_t, exact);
-            reports.push(importance_report(&tree_t, &table));
-        }
-        Ok(reports)
-    }
-
     /// The per-event importance table (Birnbaum, Fussell-Vesely, RAW, RRW,
     /// criticality, structural), computed from the full minimal-cut-set
     /// family and the exact BDD probability.
+    ///
+    /// The ROBDD is compiled once, under the configured variable ordering;
+    /// every conditioned quantification the table needs requantifies that
+    /// one diagram, which is bit-identical to compiling the conditioned tree
+    /// afresh (both orderings depend on the structure alone).
     ///
     /// # Errors
     ///
@@ -769,9 +724,10 @@ impl Analyzer {
             .into_iter()
             .map(|solution| solution.cut_set)
             .collect();
-        let ordering = self.config.bdd_ordering;
-        let exact = move |t: &FaultTree| {
-            bdd_engine::compile_fault_tree(t, ordering).top_event_probability(t)
+        let compiled = bdd_engine::compile_fault_tree(&self.tree, self.config.bdd_ordering);
+        let mut requantifier = compiled.requantifier();
+        let exact = |conditioned: &FaultTree| {
+            requantifier.probability_with(|event| conditioned.event(event).probability().value())
         };
         let table = ft_analysis::importance::ImportanceTable::compute(&self.tree, &cut_sets, exact);
         Ok(importance_report(&self.tree, &table))

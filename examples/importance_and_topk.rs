@@ -6,9 +6,10 @@
 //! cargo run --release --example importance_and_topk
 //! ```
 
-use bdd_engine::{compile_fault_tree, McsEnumeration, VariableOrdering};
+use bdd_engine::{compile_fault_tree, VariableOrdering};
 use fault_tree::examples::pressure_tank_system;
 use ft_analysis::{importance, mocus::Mocus, quant};
+use ft_backend::{AnalysisBackend, BackendConfig, BddBackend};
 use mpmcs::MpmcsSolver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,10 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Cross-check: the BDD baseline agrees with the MaxSAT MPMCS.
-    let (bdd_cut, bdd_probability) = McsEnumeration::new(&tree).maximum_probability_mcs(&tree)?;
+    let config = BackendConfig::default();
+    let bdd = BddBackend::new(config.bdd_ordering, config.bdd_path_budget).mpmcs(&tree)?;
     let maxsat = solver.solve(&tree)?;
-    assert_eq!(bdd_cut, maxsat.cut_set);
-    assert!((bdd_probability - maxsat.probability).abs() < 1e-12);
+    assert_eq!(bdd.cut_set, maxsat.cut_set);
+    assert!((bdd.probability - maxsat.probability).abs() < 1e-12);
     println!("\nBDD baseline and MaxSAT pipeline agree on the MPMCS.");
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Cross-validation of the MaxSAT pipeline against independent oracles
-//! (brute force, BDD, MOCUS) on randomly generated fault trees.
+//! (brute force, BDD/ZBDD, MOCUS) on randomly generated fault trees.
 
-use bdd_engine::{compile_fault_tree, McsEnumeration, VariableOrdering};
+use bdd_engine::{compile_fault_tree, VariableOrdering, ZbddAnalysis};
 use fault_tree::CutSet;
 use ft_analysis::{brute, mocus::Mocus};
 use ft_generators::{random_tree, RandomTreeConfig};
@@ -43,8 +43,8 @@ fn maxsat_matches_the_brute_force_optimum_on_random_trees() {
     }
 }
 
-/// The three independent cut-set engines (brute force, BDD, MOCUS) agree on
-/// the full family of minimal cut sets of random trees.
+/// The three independent cut-set engines (brute force, the BDD engine's
+/// ZBDD, MOCUS) agree on the full family of minimal cut sets of random trees.
 #[test]
 fn cut_set_engines_agree_on_random_trees() {
     for seed in 100..130u64 {
@@ -55,13 +55,9 @@ fn cut_set_engines_agree_on_random_trees() {
             sets
         };
         let reference = normalise(brute::all_minimal_cut_sets(&tree));
-        let bdd = normalise(
-            McsEnumeration::new(&tree)
-                .minimal_cut_sets()
-                .expect("small"),
-        );
+        let zbdd = normalise(ZbddAnalysis::new(&tree).minimal_cut_sets(usize::MAX));
         let mocus = normalise(Mocus::new(&tree).minimal_cut_sets().expect("small"));
-        assert_eq!(bdd, reference, "seed {seed}");
+        assert_eq!(zbdd, reference, "seed {seed}");
         assert_eq!(mocus, reference, "seed {seed}");
         // And the MaxSAT enumeration finds the same number of cut sets.
         let enumerated = MpmcsSolver::with_options(MpmcsOptions {

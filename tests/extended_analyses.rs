@@ -8,6 +8,7 @@ use fault_tree::examples::{
     aircraft_hydraulic_system, all_examples, fire_protection_system, water_treatment_scada,
 };
 use fault_tree::FaultTree;
+use ft_analysis::brute;
 use ft_analysis::ccf::{apply_beta_factor, CcfGroup};
 use ft_analysis::importance::ImportanceTable;
 use ft_analysis::mocus::Mocus;
@@ -39,6 +40,26 @@ fn zbdd_and_maxsat_agree_on_the_mpmcs_probability_for_generated_trees() {
                 p_zbdd
             );
         }
+    }
+}
+
+/// The ZBDD cut-set route agrees with exhaustive enumeration on every
+/// bundled example: the same minimal cut sets, the same count, and the same
+/// maximum-probability minimal cut set.
+#[test]
+fn zbdd_agrees_with_brute_force_on_all_examples() {
+    for (name, tree) in all_examples() {
+        let zbdd = ZbddAnalysis::new(&tree);
+        let mut zbdd_cuts = zbdd.minimal_cut_sets(usize::MAX);
+        zbdd_cuts.sort();
+        let mut reference = brute::all_minimal_cut_sets(&tree);
+        reference.sort();
+        assert_eq!(zbdd_cuts, reference, "{name}");
+        assert_eq!(zbdd.count() as usize, reference.len(), "{name}");
+        let (best, p_zbdd) = zbdd.maximum_probability_mcs(&tree).expect("has cuts");
+        let (_, p_brute) = brute::maximum_probability_mcs(&tree).expect("has cuts");
+        assert!(tree.is_minimal_cut_set(&best), "{name}");
+        assert!((p_zbdd - p_brute).abs() < 1e-12, "{name}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end integration test on the paper's worked example: the
 //! cyber-physical fire protection system of Fig. 1, Table I and Fig. 2.
 
-use bdd_engine::{compile_fault_tree, McsEnumeration, VariableOrdering};
+use bdd_engine::{compile_fault_tree, VariableOrdering, ZbddAnalysis};
 use fault_tree::examples::fire_protection_system;
 use fault_tree::parser::{galileo, json};
 use fault_tree::CutSet;
@@ -52,8 +52,8 @@ fn mpmcs_is_x1_x2_for_every_algorithm() {
     }
 }
 
-/// The MaxSAT pipeline, the BDD baseline, MOCUS and brute force all agree on
-/// the complete set of minimal cut sets and on the MPMCS.
+/// The MaxSAT pipeline, the BDD engine's ZBDD route, MOCUS and brute force
+/// all agree on the complete set of minimal cut sets and on the MPMCS.
 #[test]
 fn all_engines_agree_on_the_example() {
     let tree = fire_protection_system();
@@ -64,9 +64,7 @@ fn all_engines_agree_on_the_example() {
         .into_iter()
         .map(|s| s.cut_set)
         .collect();
-    let bdd = McsEnumeration::new(&tree)
-        .minimal_cut_sets()
-        .expect("small tree");
+    let zbdd = ZbddAnalysis::new(&tree).minimal_cut_sets(usize::MAX);
     let mocus = Mocus::new(&tree).minimal_cut_sets().expect("small tree");
     let brute_force = brute::all_minimal_cut_sets(&tree);
 
@@ -76,11 +74,11 @@ fn all_engines_agree_on_the_example() {
     };
     let reference = normalise(brute_force);
     assert_eq!(normalise(maxsat), reference);
-    assert_eq!(normalise(bdd), reference);
+    assert_eq!(normalise(zbdd), reference);
     assert_eq!(normalise(mocus), reference);
     assert_eq!(reference.len(), 5);
 
-    let (bdd_best, bdd_probability) = McsEnumeration::new(&tree)
+    let (bdd_best, bdd_probability) = ZbddAnalysis::new(&tree)
         .maximum_probability_mcs(&tree)
         .expect("has cuts");
     let (brute_best, brute_probability) = brute::maximum_probability_mcs(&tree).expect("has cuts");

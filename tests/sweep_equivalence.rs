@@ -5,16 +5,20 @@
 //! point `top_event_probability` query against the tree re-quantified at
 //! that time, across all backends × preprocessing on/off; and all backends
 //! must agree within 1e-9 at every point. The session facade's
-//! `Analyzer::sweep` (warm MaxSAT session and delegated engines alike) and
-//! `Analyzer::importance_sweep` are held to the same standard against their
-//! point queries.
+//! `Analyzer::sweep` (warm MaxSAT session and delegated engines alike) is
+//! held to the same standard against its point queries, and
+//! `Analyzer::importance`, which requantifies one compiled ROBDD, against
+//! the oracle that compiles every conditioned tree afresh.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use bdd_engine::{compile_fault_tree, VariableOrdering};
 use fault_tree::parser::{galileo, json};
-use fault_tree::{FailureModel, FaultTree, Probability};
+use fault_tree::{BasicEvent, CutSet, FailureModel, FaultTree, Probability};
+use ft_analysis::importance::ImportanceTable;
 use ft_backend::{backend_for, BackendConfig, BackendKind};
+use ft_generators::Family;
 use ft_session::Analyzer;
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::MaxSat, BackendKind::Bdd, BackendKind::Mocus];
@@ -177,36 +181,99 @@ fn facade_sweeps_match_facade_point_queries_bit_for_bit() {
     }
 }
 
-/// The facade's `importance_sweep` reproduces the point `importance()` query
-/// bit for bit at every grid time (the amortised family enumeration and the
-/// requantified BDD oracle change nothing).
+/// Every event gets an exponential law whose probability at the default
+/// mission time is the event's stored probability.
+fn with_exponential_laws(tree: &FaultTree) -> FaultTree {
+    let events: Vec<BasicEvent> = tree
+        .events()
+        .iter()
+        .map(|event| {
+            let lambda = -(1.0 - event.probability().value()).ln();
+            let law = FailureModel::exponential(lambda).expect("finite rate");
+            BasicEvent::with_model(event.name(), law)
+        })
+        .collect();
+    FaultTree::from_parts(tree.name(), events, tree.gates().to_vec(), tree.top())
+        .expect("attaching laws keeps the tree valid")
+}
+
+/// Asserts that the facade's importance report on `tree` is bit-identical to
+/// `ImportanceTable::compute` over the facade's own cut-set family with an
+/// oracle that compiles a fresh ROBDD for every conditioned tree.
+fn assert_importance_matches_the_per_call_compile_oracle(
+    label: &str,
+    tree: &FaultTree,
+    kind: BackendKind,
+    ordering: VariableOrdering,
+) {
+    let analyzer = || {
+        Analyzer::for_tree(tree.clone())
+            .backend(kind)
+            .bdd_ordering(ordering)
+    };
+    let family: Vec<CutSet> = analyzer()
+        .all_mcs()
+        .unwrap_or_else(|e| panic!("{label}: all_mcs failed: {e}"))
+        .solutions
+        .into_iter()
+        .map(|solution| solution.cut_set)
+        .collect();
+    let oracle = ImportanceTable::compute(tree, &family, |t: &FaultTree| {
+        compile_fault_tree(t, ordering).top_event_probability(t)
+    });
+    let report = analyzer()
+        .importance()
+        .unwrap_or_else(|e| panic!("{label}: importance failed: {e}"));
+    assert_eq!(report.rows.len(), tree.num_events(), "{label}");
+    for (i, row) in report.rows.iter().enumerate() {
+        assert_eq!(row.event, tree.events()[i].name(), "{label}");
+        for (measure, got, expected) in [
+            ("birnbaum", row.birnbaum, oracle.birnbaum[i]),
+            (
+                "fussell_vesely",
+                row.fussell_vesely,
+                oracle.fussell_vesely[i],
+            ),
+            ("raw", row.raw, oracle.raw[i]),
+            ("rrw", row.rrw, oracle.rrw[i]),
+            ("criticality", row.criticality, oracle.criticality[i]),
+            ("structural", row.structural, oracle.structural[i]),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                expected.to_bits(),
+                "{label}, event {}: {measure} diverged: {got} vs {expected}",
+                row.event
+            );
+        }
+    }
+}
+
+/// The facade's `importance()` compiles one ROBDD and requantifies it for
+/// every conditioned tree; its table equals, bit for bit, the table from an
+/// oracle that compiles each conditioned tree afresh. Checked on every
+/// bundled model at every grid time and on generated 30–45-node trees of
+/// all six families, for the BDD and MOCUS backends under both orderings.
 #[test]
-fn importance_sweeps_match_point_importance_bit_for_bit() {
-    let tree = with_models(&fault_tree::examples::fire_protection_system());
-    let mut analyzer = Analyzer::for_tree(tree.clone());
-    let reports = analyzer.importance_sweep(&GRID).expect("solvable");
-    assert_eq!(reports.len(), GRID.len());
-    for (&t, swept) in GRID.iter().zip(&reports) {
-        let point = Analyzer::for_tree(tree.at_time(t))
-            .importance()
-            .expect("solvable");
-        assert_eq!(swept.rows.len(), point.rows.len());
-        for (s, p) in swept.rows.iter().zip(&point.rows) {
-            assert_eq!(s.event, p.event, "t={t}");
-            for (label, a, b) in [
-                ("birnbaum", s.birnbaum, p.birnbaum),
-                ("fussell_vesely", s.fussell_vesely, p.fussell_vesely),
-                ("raw", s.raw, p.raw),
-                ("rrw", s.rrw, p.rrw),
-                ("criticality", s.criticality, p.criticality),
-                ("structural", s.structural, p.structural),
-            ] {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "t={t}, event {}: {label} diverged: {a} vs {b}",
-                    s.event
-                );
+fn facade_importance_matches_the_per_call_compile_oracle_bit_for_bit() {
+    let mut corpus: Vec<(String, FaultTree)> = Vec::new();
+    for (name, tree) in bundled_trees() {
+        let tree = with_models(&tree);
+        for t in GRID {
+            corpus.push((format!("{name}@{t}"), tree.at_time(t)));
+        }
+    }
+    for family in Family::all() {
+        for (i, size) in [30, 35, 40, 45].into_iter().enumerate() {
+            let tree = with_exponential_laws(&family.generate(size, i as u64));
+            corpus.push((format!("{}-{size}", family.name()), tree));
+        }
+    }
+    for (name, tree) in &corpus {
+        for kind in [BackendKind::Bdd, BackendKind::Mocus] {
+            for ordering in [VariableOrdering::DepthFirst, VariableOrdering::Natural] {
+                let label = format!("{name}/{kind}/{}", ordering.name());
+                assert_importance_matches_the_per_call_compile_oracle(&label, tree, kind, ordering);
             }
         }
     }
