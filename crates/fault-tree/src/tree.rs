@@ -2,11 +2,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::cutset::CutSet;
 use crate::error::FaultTreeError;
 use crate::event::{BasicEvent, EventId};
 use crate::gate::{Gate, GateId, GateKind};
+use crate::hash::{canonical_form, CanonicalForm};
 use crate::probability::Probability;
 
 /// A reference to a node of the fault tree: either a basic event or a gate.
@@ -73,7 +75,13 @@ impl fmt::Display for NodeId {
 ///
 /// Construct trees with [`FaultTreeBuilder`] or one of the parsers in
 /// [`parser`](crate::parser).
-#[derive(Clone, Debug)]
+///
+/// A built tree never changes, so its [canonical form](FaultTree::canonical)
+/// is computed at most once and kept on the tree (a clone copies it).
+/// [`FaultTree::at_time`] is the one path that re-prices a copy, and it
+/// resets the kept form; any future method that changes a tree in place must
+/// reset it the same way.
+#[derive(Clone)]
 pub struct FaultTree {
     name: String,
     events: Vec<BasicEvent>,
@@ -86,10 +94,13 @@ pub struct FaultTree {
     event_index: HashMap<String, EventId>,
     /// Name → identifier index over `gates` (same first-wins policy).
     gate_index: HashMap<String, GateId>,
+    /// The canonical form, filled on the first [`FaultTree::canonical`].
+    canonical: OnceLock<CanonicalForm>,
 }
 
-// The name indices are derived from `events`/`gates`, so equality (and the
-// serialised form below) is defined over the declared parts only.
+// The name indices and the canonical form are derived from the declared
+// parts, so equality (and the serialised form below) is defined over those
+// parts only.
 impl PartialEq for FaultTree {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -99,10 +110,26 @@ impl PartialEq for FaultTree {
     }
 }
 
+// `Debug` leaves the canonical form out too: whether it has been computed
+// yet is not a property of the tree.
+impl fmt::Debug for FaultTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FaultTree")
+            .field("name", &self.name)
+            .field("events", &self.events)
+            .field("gates", &self.gates)
+            .field("top", &self.top)
+            .field("event_index", &self.event_index)
+            .field("gate_index", &self.gate_index)
+            .finish()
+    }
+}
+
 // Manual serde implementations (the derive-style macro would persist the
-// derived name indices): the wire format stays `{name, events, gates, top}`,
-// and deserialisation rebuilds the indices through [`FaultTree::from_parts`],
-// which also re-validates the structural invariants.
+// derived name indices and the canonical form): the wire format stays
+// `{name, events, gates, top}`, and deserialisation rebuilds the indices
+// through [`FaultTree::from_parts`], which also re-validates the structural
+// invariants.
 impl serde::Serialize for FaultTree {
     fn to_value(&self) -> serde::Value {
         let mut map = serde::Map::new();
@@ -201,6 +228,16 @@ impl FaultTree {
     /// Finds a gate by name (O(1) hash lookup).
     pub fn gate_by_name(&self, name: &str) -> Option<GateId> {
         self.gate_index.get(name).copied()
+    }
+
+    /// The tree's canonical form — the content address the analysis cache
+    /// keys on, plus the canonical event numbering (see [`CanonicalForm`]).
+    ///
+    /// Equal to [`canonical_form`]`(self)`, but computed on the first call
+    /// only and kept on the tree, so every later call on this tree, or on a
+    /// clone made after the first call, is free.
+    pub fn canonical(&self) -> &CanonicalForm {
+        self.canonical.get_or_init(|| canonical_form(self))
     }
 
     /// Human-readable name of a node.
@@ -404,6 +441,9 @@ impl FaultTree {
     /// (see [`FailureModel`](crate::event::FailureModel)).
     pub fn at_time(&self, t: f64) -> FaultTree {
         let mut tree = self.clone();
+        // New probabilities, new weighted digest: the clone must not keep
+        // this tree's canonical form.
+        tree.canonical = OnceLock::new();
         for event in &mut tree.events {
             let p = event.probability_at(t);
             event.set_probability(p);
@@ -444,6 +484,7 @@ impl FaultTree {
             top,
             event_index,
             gate_index,
+            canonical: OnceLock::new(),
         };
         tree.validate()?;
         Ok(tree)
@@ -883,6 +924,57 @@ mod tests {
         let plain = simple_tree();
         assert!(!plain.has_time_dependence());
         assert_eq!(plain.at_time(7.0), plain);
+    }
+
+    fn assert_same_form(label: &str, kept: &CanonicalForm, fresh: &CanonicalForm) {
+        assert_eq!(kept.hash, fresh.hash, "{label}: hash");
+        assert_eq!(kept.event_order, fresh.event_order, "{label}: event order");
+        assert_eq!(kept.event_rank, fresh.event_rank, "{label}: event rank");
+    }
+
+    #[test]
+    fn the_kept_canonical_form_equals_a_fresh_one_on_every_example() {
+        for (name, tree) in crate::examples::all_examples() {
+            assert_same_form(name, tree.canonical(), &canonical_form(&tree));
+        }
+    }
+
+    #[test]
+    fn at_time_never_keeps_a_stale_canonical_form() {
+        use crate::event::FailureModel;
+
+        let mut b = FaultTreeBuilder::new("laws");
+        let pump = b
+            .modelled_event("pump", FailureModel::exponential(0.5).unwrap())
+            .unwrap();
+        let valve = b
+            .modelled_event("valve", FailureModel::exponential(0.1).unwrap())
+            .unwrap();
+        let top = b.and_gate("top", [pump.into(), valve.into()]).unwrap();
+        let tree = b.build(top.into()).unwrap();
+        let primed = tree.canonical().hash;
+        let later = tree.at_time(2.0);
+        assert_same_form("t=2", later.canonical(), &canonical_form(&later));
+        assert_ne!(
+            later.canonical().hash.weighted,
+            primed.weighted,
+            "re-priced events must change the weighted digest"
+        );
+        assert_eq!(later.canonical().hash.structure, primed.structure);
+    }
+
+    #[test]
+    fn the_canonical_form_is_computed_once_and_is_not_part_of_the_tree() {
+        let tree = fire_protection_system();
+        let unprimed = tree.clone();
+        let json = crate::parser::json::to_json_string(&tree);
+        let debug = format!("{tree:?}");
+        let form = tree.canonical();
+        assert!(std::ptr::eq(form, tree.canonical()), "one form per tree");
+        assert_eq!(tree, unprimed);
+        assert_eq!(crate::parser::json::to_json_string(&tree), json);
+        assert_eq!(format!("{tree:?}"), debug);
+        assert_same_form("clone", tree.clone().canonical(), form);
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! Rauzy-style BDD engines owe much of their speed to caching results on
 //! canonical subproblems. The engine-agnostic equivalent built here keys
 //! complete query answers on the *canonical weighted hash* of the queried
-//! tree ([`fault_tree::canonical_form`]) — so two isomorphic trees (or
-//! modules, or the same tree queried twice) share one cache line — plus the
-//! query kind and the full backend configuration, so engines with different
-//! output conventions never alias.
+//! tree — so two isomorphic trees (or modules, or the same tree queried
+//! twice) share one cache line — plus the query kind and the full backend
+//! configuration, so engines with different output conventions never alias.
+//!
+//! The hash comes from [`FaultTree::canonical`], which computes the tree's
+//! canonical form once and keeps it on the tree: every lookup and store
+//! after the first on the same tree (or a clone of it) reuses that form
+//! instead of hashing the model again, so a hit costs a table probe plus
+//! the decoding of the answer.
 //!
 //! Three invariants keep cached answers byte-identical to fresh solves:
 //!
@@ -45,7 +50,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fault_tree::{canonical_form, CanonicalForm, CutSet, FailureModel, FaultTree};
+use fault_tree::{CanonicalForm, CutSet, FailureModel, FaultTree};
 
 use crate::solution::{canonical_sort, BackendSolution};
 use crate::{BackendConfig, BackendError, BackendKind};
@@ -393,11 +398,66 @@ impl CacheHandle {
         &self.cache
     }
 
-    fn key(&self, form: &CanonicalForm, query: QueryKind) -> CacheKey {
+    fn key(&self, tree: &FaultTree, query: QueryKind) -> CacheKey {
         CacheKey {
-            weighted: form.hash.weighted,
+            weighted: tree.canonical().hash.weighted,
             query,
             config: self.fingerprint,
+        }
+    }
+
+    /// The cache key of a sweep over `grid`: the structure hash (standing in
+    /// for the weighted hash — the fingerprint pins the weights' time laws)
+    /// plus the grid/law fingerprint.
+    fn sweep_key(&self, tree: &FaultTree, grid: &[f64]) -> CacheKey {
+        let form = tree.canonical();
+        CacheKey {
+            weighted: form.hash.structure,
+            query: QueryKind::Sweep(sweep_fingerprint(tree, form, grid)),
+            config: self.fingerprint,
+        }
+    }
+
+    /// Looks `key` up and rebuilds a hit with `decode`, which reads an
+    /// entry of any other kind as a miss.
+    fn lookup<T>(
+        &self,
+        key: &CacheKey,
+        decode: impl FnOnce(CachedAnswer) -> Option<T>,
+    ) -> Cached<T> {
+        match self.cache.lookup(key) {
+            Some(CachedAnswer::NoCutSet) => Cached::NoCutSet,
+            found => found.and_then(decode).map_or(Cached::Miss, Cached::Hit),
+        }
+    }
+
+    /// The one miss → solve → store path of every closure-shaped query: a
+    /// hit is rebuilt with `decode`; a miss runs `solve` and stores what
+    /// `encode` makes of its answer (`None` keeps an incomplete answer out
+    /// of the table), or the proof that the tree has no cut set.
+    fn answer<T>(
+        &self,
+        key: CacheKey,
+        decode: impl FnOnce(CachedAnswer) -> Option<T>,
+        solve: impl FnOnce() -> Result<T, BackendError>,
+        encode: impl FnOnce(&T) -> Option<CachedAnswer>,
+    ) -> Result<T, BackendError> {
+        match self.lookup(&key, decode) {
+            Cached::Hit(answer) => Ok(answer),
+            Cached::NoCutSet => Err(BackendError::NoCutSet),
+            Cached::Miss => match solve() {
+                Ok(answer) => {
+                    if let Some(stored) = encode(&answer) {
+                        self.cache.insert(key, stored);
+                    }
+                    Ok(answer)
+                }
+                Err(BackendError::NoCutSet) => {
+                    self.cache.insert(key, CachedAnswer::NoCutSet);
+                    Err(BackendError::NoCutSet)
+                }
+                Err(other) => Err(other),
+            },
         }
     }
 
@@ -407,12 +467,7 @@ impl CacheHandle {
         tree: &FaultTree,
         query: QueryKind,
     ) -> Cached<Vec<BackendSolution>> {
-        let form = canonical_form(tree);
-        match self.cache.lookup(&self.key(&form, query)) {
-            Some(CachedAnswer::Family(cuts)) => Cached::Hit(decode_family(tree, &form, &cuts)),
-            Some(CachedAnswer::NoCutSet) => Cached::NoCutSet,
-            _ => Cached::Miss,
-        }
+        self.lookup(&self.key(tree, query), |hit| hit.into_family(tree))
     }
 
     /// Stores a **complete** solution family for `query`. The caller is
@@ -424,127 +479,54 @@ impl CacheHandle {
         query: QueryKind,
         solutions: &[BackendSolution],
     ) {
-        let form = canonical_form(tree);
-        let key = self.key(&form, query);
-        self.cache.insert(key, encode_family(&form, solutions));
+        self.cache
+            .insert(self.key(tree, query), encode_family(tree, solutions));
     }
 
     /// Looks up the MPMCS answer.
     pub fn lookup_best(&self, tree: &FaultTree) -> Cached<BackendSolution> {
-        let form = canonical_form(tree);
-        match self.cache.lookup(&self.key(&form, QueryKind::Mpmcs)) {
-            Some(CachedAnswer::Best(cut, algorithm)) => {
-                Cached::Hit(decode_solution(tree, &form, &cut, &algorithm))
-            }
-            Some(CachedAnswer::NoCutSet) => Cached::NoCutSet,
-            _ => Cached::Miss,
-        }
+        self.lookup(&self.key(tree, QueryKind::Mpmcs), |hit| hit.into_best(tree))
     }
 
     /// Stores a proven MPMCS answer.
     pub fn store_best(&self, tree: &FaultTree, solution: &BackendSolution) {
-        let form = canonical_form(tree);
-        let key = self.key(&form, QueryKind::Mpmcs);
         self.cache.insert(
-            key,
-            CachedAnswer::Best(
-                encode_cut(&form, &solution.cut_set),
-                solution.algorithm.clone(),
-            ),
+            self.key(tree, QueryKind::Mpmcs),
+            encode_best(tree, solution),
         );
     }
 
     /// Looks up an exact top-event probability.
     pub fn lookup_probability(&self, tree: &FaultTree) -> Cached<f64> {
-        let form = canonical_form(tree);
-        match self
-            .cache
-            .lookup(&self.key(&form, QueryKind::TopProbability))
-        {
-            Some(CachedAnswer::Probability(bits)) => Cached::Hit(f64::from_bits(bits)),
-            Some(CachedAnswer::NoCutSet) => Cached::NoCutSet,
-            _ => Cached::Miss,
-        }
+        self.lookup(
+            &self.key(tree, QueryKind::TopProbability),
+            CachedAnswer::into_probability,
+        )
     }
 
     /// Stores an exact top-event probability.
     pub fn store_probability(&self, tree: &FaultTree, probability: f64) {
-        let form = canonical_form(tree);
-        let key = self.key(&form, QueryKind::TopProbability);
-        self.cache
-            .insert(key, CachedAnswer::Probability(probability.to_bits()));
-    }
-
-    /// The cache key of a sweep over `grid`: the structure hash (standing in
-    /// for the weighted hash — the fingerprint pins the weights' time laws)
-    /// plus the grid/law fingerprint.
-    fn sweep_key(&self, tree: &FaultTree, form: &CanonicalForm, grid: &[f64]) -> CacheKey {
-        CacheKey {
-            weighted: form.hash.structure,
-            query: QueryKind::Sweep(sweep_fingerprint(tree, form, grid)),
-            config: self.fingerprint,
-        }
+        self.cache.insert(
+            self.key(tree, QueryKind::TopProbability),
+            CachedAnswer::Probability(probability.to_bits()),
+        );
     }
 
     /// Looks up a mission-time sweep curve for exactly this grid.
     pub fn lookup_curve(&self, tree: &FaultTree, grid: &[f64]) -> Cached<Vec<f64>> {
-        let form = canonical_form(tree);
-        match self.cache.lookup(&self.sweep_key(tree, &form, grid)) {
-            Some(CachedAnswer::Curve(points)) => {
-                Cached::Hit(points.iter().map(|&bits| f64::from_bits(bits)).collect())
-            }
-            Some(CachedAnswer::NoCutSet) => Cached::NoCutSet,
-            _ => Cached::Miss,
-        }
+        self.lookup(&self.sweep_key(tree, grid), CachedAnswer::into_curve)
     }
 
     /// Stores a complete mission-time sweep curve for `grid`.
     pub fn store_curve(&self, tree: &FaultTree, grid: &[f64], curve: &[f64]) {
-        let form = canonical_form(tree);
-        let key = self.sweep_key(tree, &form, grid);
-        self.cache.insert(
-            key,
-            CachedAnswer::Curve(curve.iter().map(|p| p.to_bits()).collect()),
-        );
-    }
-
-    /// Consults the cache for a mission-time sweep; mirrors
-    /// [`CacheHandle::probability`].
-    pub(crate) fn curve(
-        &self,
-        tree: &FaultTree,
-        grid: &[f64],
-        solve: impl FnOnce() -> Result<Vec<f64>, BackendError>,
-    ) -> Result<Vec<f64>, BackendError> {
-        let form = canonical_form(tree);
-        let key = self.sweep_key(tree, &form, grid);
-        match self.cache.lookup(&key) {
-            Some(CachedAnswer::Curve(points)) => {
-                Ok(points.iter().map(|&bits| f64::from_bits(bits)).collect())
-            }
-            Some(CachedAnswer::NoCutSet) => Err(BackendError::NoCutSet),
-            _ => match solve() {
-                Ok(curve) => {
-                    self.cache.insert(
-                        key,
-                        CachedAnswer::Curve(curve.iter().map(|p| p.to_bits()).collect()),
-                    );
-                    Ok(curve)
-                }
-                Err(BackendError::NoCutSet) => {
-                    self.cache.insert(key, CachedAnswer::NoCutSet);
-                    Err(BackendError::NoCutSet)
-                }
-                Err(other) => Err(other),
-            },
-        }
+        self.cache
+            .insert(self.sweep_key(tree, grid), encode_curve(curve));
     }
 
     /// Stores the proof that the tree has no cut set, under `query`.
     pub fn store_no_cut_set(&self, tree: &FaultTree, query: QueryKind) {
-        let form = canonical_form(tree);
-        let key = self.key(&form, query);
-        self.cache.insert(key, CachedAnswer::NoCutSet);
+        self.cache
+            .insert(self.key(tree, query), CachedAnswer::NoCutSet);
     }
 
     /// Consults the cache for an enumeration query; on a miss runs `solve`
@@ -556,23 +538,12 @@ impl CacheHandle {
         query: QueryKind,
         solve: impl FnOnce() -> Result<Vec<BackendSolution>, BackendError>,
     ) -> Result<Vec<BackendSolution>, BackendError> {
-        let form = canonical_form(tree);
-        let key = self.key(&form, query);
-        match self.cache.lookup(&key) {
-            Some(CachedAnswer::Family(cuts)) => Ok(decode_family(tree, &form, &cuts)),
-            Some(CachedAnswer::NoCutSet) => Err(BackendError::NoCutSet),
-            _ => match solve() {
-                Ok(solutions) => {
-                    self.cache.insert(key, encode_family(&form, &solutions));
-                    Ok(solutions)
-                }
-                Err(BackendError::NoCutSet) => {
-                    self.cache.insert(key, CachedAnswer::NoCutSet);
-                    Err(BackendError::NoCutSet)
-                }
-                Err(other) => Err(other),
-            },
-        }
+        self.answer(
+            self.key(tree, query),
+            |hit| hit.into_family(tree),
+            solve,
+            |solutions| Some(encode_family(tree, solutions)),
+        )
     }
 
     /// Consults the cache for the MPMCS query; mirrors
@@ -582,31 +553,12 @@ impl CacheHandle {
         tree: &FaultTree,
         solve: impl FnOnce() -> Result<BackendSolution, BackendError>,
     ) -> Result<BackendSolution, BackendError> {
-        let form = canonical_form(tree);
-        let key = self.key(&form, QueryKind::Mpmcs);
-        match self.cache.lookup(&key) {
-            Some(CachedAnswer::Best(cut, algorithm)) => {
-                Ok(decode_solution(tree, &form, &cut, &algorithm))
-            }
-            Some(CachedAnswer::NoCutSet) => Err(BackendError::NoCutSet),
-            _ => match solve() {
-                Ok(solution) => {
-                    self.cache.insert(
-                        key,
-                        CachedAnswer::Best(
-                            encode_cut(&form, &solution.cut_set),
-                            solution.algorithm.clone(),
-                        ),
-                    );
-                    Ok(solution)
-                }
-                Err(BackendError::NoCutSet) => {
-                    self.cache.insert(key, CachedAnswer::NoCutSet);
-                    Err(BackendError::NoCutSet)
-                }
-                Err(other) => Err(other),
-            },
-        }
+        self.answer(
+            self.key(tree, QueryKind::Mpmcs),
+            |hit| hit.into_best(tree),
+            solve,
+            |solution| Some(encode_best(tree, solution)),
+        )
     }
 
     /// Consults the cache for the exact top-event probability.
@@ -615,24 +567,28 @@ impl CacheHandle {
         tree: &FaultTree,
         solve: impl FnOnce() -> Result<f64, BackendError>,
     ) -> Result<f64, BackendError> {
-        let form = canonical_form(tree);
-        let key = self.key(&form, QueryKind::TopProbability);
-        match self.cache.lookup(&key) {
-            Some(CachedAnswer::Probability(bits)) => Ok(f64::from_bits(bits)),
-            Some(CachedAnswer::NoCutSet) => Err(BackendError::NoCutSet),
-            _ => match solve() {
-                Ok(probability) => {
-                    self.cache
-                        .insert(key, CachedAnswer::Probability(probability.to_bits()));
-                    Ok(probability)
-                }
-                Err(BackendError::NoCutSet) => {
-                    self.cache.insert(key, CachedAnswer::NoCutSet);
-                    Err(BackendError::NoCutSet)
-                }
-                Err(other) => Err(other),
-            },
-        }
+        self.answer(
+            self.key(tree, QueryKind::TopProbability),
+            CachedAnswer::into_probability,
+            solve,
+            |probability| Some(CachedAnswer::Probability(probability.to_bits())),
+        )
+    }
+
+    /// Consults the cache for a mission-time sweep; mirrors
+    /// [`CacheHandle::probability`].
+    pub(crate) fn curve(
+        &self,
+        tree: &FaultTree,
+        grid: &[f64],
+        solve: impl FnOnce() -> Result<Vec<f64>, BackendError>,
+    ) -> Result<Vec<f64>, BackendError> {
+        self.answer(
+            self.sweep_key(tree, grid),
+            CachedAnswer::into_curve,
+            solve,
+            |curve| Some(encode_curve(curve)),
+        )
     }
 }
 
@@ -642,7 +598,15 @@ fn encode_cut(form: &CanonicalForm, cut: &CutSet) -> Vec<u32> {
     ranks
 }
 
-fn encode_family(form: &CanonicalForm, solutions: &[BackendSolution]) -> CachedAnswer {
+fn encode_best(tree: &FaultTree, solution: &BackendSolution) -> CachedAnswer {
+    CachedAnswer::Best(
+        encode_cut(tree.canonical(), &solution.cut_set),
+        solution.algorithm.clone(),
+    )
+}
+
+fn encode_family(tree: &FaultTree, solutions: &[BackendSolution]) -> CachedAnswer {
+    let form = tree.canonical();
     CachedAnswer::Family(
         solutions
             .iter()
@@ -656,27 +620,51 @@ fn encode_family(form: &CanonicalForm, solutions: &[BackendSolution]) -> CachedA
     )
 }
 
-fn decode_solution(
-    tree: &FaultTree,
-    form: &CanonicalForm,
-    ranks: &[u32],
-    algorithm: &str,
-) -> BackendSolution {
+fn encode_curve(curve: &[f64]) -> CachedAnswer {
+    CachedAnswer::Curve(curve.iter().map(|p| p.to_bits()).collect())
+}
+
+fn decode_solution(tree: &FaultTree, ranks: &[u32], algorithm: &str) -> BackendSolution {
+    let form = tree.canonical();
     let cut: CutSet = ranks.iter().map(|&rank| form.event(rank)).collect();
     BackendSolution::from_cut(tree, cut, algorithm)
 }
 
-fn decode_family(
-    tree: &FaultTree,
-    form: &CanonicalForm,
-    cuts: &[(Vec<u32>, String)],
-) -> Vec<BackendSolution> {
-    let mut solutions: Vec<BackendSolution> = cuts
-        .iter()
-        .map(|(ranks, algorithm)| decode_solution(tree, form, ranks, algorithm))
-        .collect();
-    canonical_sort(tree, &mut solutions);
-    solutions
+// Hit decoders: each rebuilds one kind of answer against the hitting tree
+// and reads any other kind as a miss.
+impl CachedAnswer {
+    fn into_family(self, tree: &FaultTree) -> Option<Vec<BackendSolution>> {
+        let CachedAnswer::Family(cuts) = self else {
+            return None;
+        };
+        let mut solutions: Vec<BackendSolution> = cuts
+            .iter()
+            .map(|(ranks, algorithm)| decode_solution(tree, ranks, algorithm))
+            .collect();
+        canonical_sort(tree, &mut solutions);
+        Some(solutions)
+    }
+
+    fn into_best(self, tree: &FaultTree) -> Option<BackendSolution> {
+        match self {
+            CachedAnswer::Best(cut, algorithm) => Some(decode_solution(tree, &cut, &algorithm)),
+            _ => None,
+        }
+    }
+
+    fn into_probability(self) -> Option<f64> {
+        match self {
+            CachedAnswer::Probability(bits) => Some(f64::from_bits(bits)),
+            _ => None,
+        }
+    }
+
+    fn into_curve(self) -> Option<Vec<f64>> {
+        match self {
+            CachedAnswer::Curve(points) => Some(points.into_iter().map(f64::from_bits).collect()),
+            _ => None,
+        }
+    }
 }
 
 /// A caching wrapper around any backend: every whole-tree query consults the
@@ -742,33 +730,24 @@ impl AnalysisBackend for CachedBackend {
         tree: &FaultTree,
         control: &QueryControl,
     ) -> Result<Enumerated, BackendError> {
-        let form = canonical_form(tree);
-        let key = self.handle.key(&form, QueryKind::AllMcs);
-        match self.handle.cache.lookup(&key) {
+        self.handle.answer(
+            self.handle.key(tree, QueryKind::AllMcs),
             // A cached complete family answers even an expiring control —
             // returning it is free.
-            Some(CachedAnswer::Family(cuts)) => Ok(Enumerated {
-                solutions: decode_family(tree, &form, &cuts),
-                stopped: None,
-            }),
-            Some(CachedAnswer::NoCutSet) => Err(BackendError::NoCutSet),
-            _ => match self.inner.all_mcs_under(tree, control) {
-                Ok(enumerated) => {
-                    // Truncated prefixes must never poison the table.
-                    if enumerated.is_complete() {
-                        self.handle
-                            .cache
-                            .insert(key, encode_family(&form, &enumerated.solutions));
-                    }
-                    Ok(enumerated)
-                }
-                Err(BackendError::NoCutSet) => {
-                    self.handle.cache.insert(key, CachedAnswer::NoCutSet);
-                    Err(BackendError::NoCutSet)
-                }
-                Err(other) => Err(other),
+            |hit| {
+                hit.into_family(tree).map(|solutions| Enumerated {
+                    solutions,
+                    stopped: None,
+                })
             },
-        }
+            || self.inner.all_mcs_under(tree, control),
+            // Truncated prefixes must never poison the table.
+            |enumerated| {
+                enumerated
+                    .is_complete()
+                    .then(|| encode_family(tree, &enumerated.solutions))
+            },
+        )
     }
 }
 
@@ -776,6 +755,7 @@ impl AnalysisBackend for CachedBackend {
 mod tests {
     use super::*;
     use crate::{backend_for_cached, BackendConfig, BackendKind};
+    use fault_tree::canonical_form;
     use fault_tree::examples::fire_protection_system;
 
     fn cached(

@@ -6,7 +6,9 @@
 //! endpoints mapped 1:1 onto the facade, chunked streaming of solution
 //! enumerations, and explicit capacity management — a fixed worker pool,
 //! a bounded accept queue with `503` load shedding, per-connection
-//! read/write timeouts, and graceful drain on shutdown.
+//! read/write timeouts, and graceful drain on shutdown. A request whose
+//! handler panics is answered `500` and counted (`panics` in `GET /stats`);
+//! the worker that served it stays in the pool.
 //!
 //! # Endpoints
 //!
@@ -21,7 +23,7 @@
 //! | `GET /trees/{hash}/probability` | Exact top-event probability |
 //! | `GET /trees/{hash}/importance` | Per-event importance measures |
 //! | `GET /trees/{hash}/sweep?range=S:E:T` | Mission-time probability curve |
-//! | `GET /health`, `GET /stats` | Liveness and served/shed counters |
+//! | `GET /health`, `GET /stats` | Liveness and the accepted/requests/shed/streamed/panics counters |
 //!
 //! Query endpoints accept `backend` (`maxsat`/`bdd`/`mocus`/`auto`),
 //! `preprocess`, `timeout-ms`, `max-solutions` and `stats` parameters —
@@ -59,6 +61,7 @@ pub mod signal;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -118,6 +121,10 @@ pub struct ServerCounters {
     pub shed: u64,
     /// Requests answered with a chunked streaming body.
     pub streamed: u64,
+    /// Requests whose handler panicked: answered `500` before the response
+    /// started, or cut off by closing the connection once a streamed `200`
+    /// was under way. The worker survives either way.
+    pub panics: u64,
 }
 
 /// State shared between the accept thread, the workers and the handle.
@@ -131,6 +138,7 @@ pub(crate) struct Shared {
     requests: AtomicU64,
     shed: AtomicU64,
     streamed: AtomicU64,
+    panics: AtomicU64,
     queue_depth: usize,
     max_body_bytes: usize,
     read_timeout: Duration,
@@ -144,6 +152,7 @@ impl Shared {
             requests: self.requests.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             streamed: self.streamed.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 
@@ -180,6 +189,7 @@ impl Server {
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             streamed: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             queue_depth: config.queue_depth.max(1),
             max_body_bytes: config.max_body_bytes,
             read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
@@ -369,13 +379,33 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             Ok(Some(request)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 let keep_alive = request.wants_keep_alive() && !shared.shutting_down();
-                match routes::handle(shared, &request) {
-                    Handled::Full(response) => {
+                // A panicking handler must cost one request, never the
+                // worker: catch it, count it, answer 500 and close.
+                match catch_unwind(AssertUnwindSafe(|| routes::handle(shared, &request))) {
+                    Ok(Handled::Full(response)) => {
                         write_response(&mut writer, &response, keep_alive)?;
                     }
-                    Handled::Stream(plan) => {
+                    Ok(Handled::Stream(plan)) => {
                         shared.streamed.fetch_add(1, Ordering::Relaxed);
-                        routes::stream_solutions(*plan, &mut writer, keep_alive)?;
+                        let streamed = catch_unwind(AssertUnwindSafe(|| {
+                            routes::stream_solutions(*plan, &mut writer, keep_alive)
+                        }));
+                        match streamed {
+                            Ok(result) => result?,
+                            // The 200 is already out, so no status can
+                            // report the failure: cut the body off instead.
+                            Err(_) => {
+                                shared.panics.fetch_add(1, Ordering::Relaxed);
+                                break;
+                            }
+                        }
+                    }
+                    Err(_) => {
+                        shared.panics.fetch_add(1, Ordering::Relaxed);
+                        let response =
+                            routes::error_json(500, "internal error: the request handler panicked");
+                        write_response(&mut writer, &response, false)?;
+                        break;
                     }
                 }
                 if !keep_alive {
@@ -404,10 +434,14 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
 
     fn get(addr: SocketAddr, target: &str) -> http::ClientResponse {
         let mut socket = TcpStream::connect(addr).unwrap();
+        // A pool that lost its workers fails the test instead of hanging it.
+        socket
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         write!(socket, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         http::read_response(&mut BufReader::new(&socket)).unwrap()
     }
@@ -578,6 +612,53 @@ mod tests {
         assert_eq!(shed.status, 503);
         assert_eq!(shed.header("retry-after"), Some("1"));
         assert!(handle.counters().shed >= 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn panicking_requests_answer_500_and_keep_the_worker() {
+        let handle = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        for _ in 0..3 {
+            let response = get(handle.addr(), "/panic");
+            assert_eq!(response.status, 500);
+            assert_eq!(response.header("connection"), Some("close"));
+            assert!(response.text().contains("\"error\""), "{}", response.text());
+        }
+        // The only worker survived all three panics.
+        assert_eq!(get(handle.addr(), "/health").status, 200);
+        let stats = get(handle.addr(), "/stats");
+        assert_eq!(stats.status, 200);
+        assert!(stats.text().contains("\"panics\": 3"), "{}", stats.text());
+        assert_eq!(handle.counters().panics, 3);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_panic_mid_stream_closes_the_connection_and_keeps_the_worker() {
+        let handle = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut socket = TcpStream::connect(handle.addr()).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(socket, "GET /panic-mid-stream HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        // The server closes the connection: reading to the end returns.
+        let mut raw = String::new();
+        socket.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        assert!(
+            !raw.contains("x-termination: "),
+            "the body is cut off before its trailers: {raw}"
+        );
+        assert_eq!(get(handle.addr(), "/health").status, 200);
+        assert_eq!(handle.counters().panics, 1);
         handle.shutdown();
     }
 

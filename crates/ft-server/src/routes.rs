@@ -242,6 +242,7 @@ fn handle_stats(shared: &Shared) -> Response {
         "requests": counters.requests,
         "shed": counters.shed,
         "streamed": counters.streamed,
+        "panics": counters.panics,
         "trees": shared.service.len(),
     }))
     .expect("stats reports always serialise");
@@ -575,6 +576,29 @@ pub(crate) fn stream_solutions<W: Write>(
     writer.finish(&trailers)
 }
 
+/// A test route whose streamed answer panics once its `200` is out: the
+/// solutions come from the paper's example tree, but the stream renders
+/// them against a one-event tree that lacks their events.
+#[cfg(test)]
+fn panic_mid_stream(shared: &Shared) -> Handled {
+    let spec = QuerySpec {
+        backend: BackendKind::MaxSat,
+        preprocess: false,
+        timeout_ms: None,
+        max_solutions: None,
+        stats: false,
+        stream: true,
+    };
+    let tree = Arc::new(fault_tree::examples::fire_protection_system());
+    let mut handled = enumeration(shared, &tree, spec, None);
+    if let Handled::Stream(plan) = &mut handled {
+        let mut builder = fault_tree::FaultTreeBuilder::new("one event");
+        let only = builder.basic_event("only", 0.5).expect("valid event");
+        plan.tree = Arc::new(builder.build(only.into()).expect("valid tree"));
+    }
+    handled
+}
+
 /// The verbs a known path shape answers to, for `405 Method Not Allowed`.
 fn allowed_methods(segments: &[&str]) -> Option<&'static str> {
     match segments {
@@ -598,6 +622,10 @@ pub(crate) fn handle(shared: &Shared, request: &Request) -> Handled {
         ("GET", ["trees"]) => Handled::Full(handle_list(shared)),
         ("DELETE", ["trees", hash]) => Handled::Full(handle_delete(shared, hash)),
         ("GET", ["trees", hash, query]) => handle_query(shared, request, hash, query),
+        #[cfg(test)]
+        ("GET", ["panic"]) => panic!("a test route that always panics"),
+        #[cfg(test)]
+        ("GET", ["panic-mid-stream"]) => panic_mid_stream(shared),
         (_, segments) => Handled::Full(match allowed_methods(segments) {
             Some(allow) => error_json(
                 405,

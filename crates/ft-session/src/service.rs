@@ -143,7 +143,9 @@ impl AnalysisService {
     /// [`register_by_hash`](AnalysisService::register_by_hash) over an
     /// already-shared handle.
     pub fn register_shared_by_hash(&self, tree: Arc<FaultTree>) -> (String, Arc<FaultTree>, bool) {
-        let address = fault_tree::tree_hash(&tree).weighted_hex();
+        // The form is kept on the tree, so the hash paid here is the only
+        // one any later read of this tree pays, hit or miss.
+        let address = tree.canonical().hash.weighted_hex();
         let mut trees = self.trees.write().expect("tree registry lock poisoned");
         match trees.get(&address) {
             Some(existing) => (address, Arc::clone(existing), false),

@@ -857,6 +857,7 @@ fn run_serve(serve: &ServeOptions) -> Result<RunOutput, CliError> {
         "requests": counters.requests,
         "shed": counters.shed,
         "streamed": counters.streamed,
+        "panics": counters.panics,
     }))
     .expect("counter reports always serialise");
     Ok(RunOutput {

@@ -2,9 +2,13 @@
 //! over the full generated corpus: the digests the analysis cache keys on
 //! must be invariant under the renamings and commutative reorderings that
 //! leave the analysis answers unchanged, must react to any probability
-//! change, and must not collide across distinct generated workloads.
+//! change, and must not collide across distinct generated workloads. The
+//! form a tree keeps (`FaultTree::canonical`, what the cache reads) must be
+//! exactly the one computed from scratch.
 
-use fault_tree::{tree_hash, BasicEvent, EventId, FaultTree, Gate, NodeId, Probability, TreeHash};
+use fault_tree::{
+    canonical_form, tree_hash, BasicEvent, EventId, FaultTree, Gate, NodeId, Probability, TreeHash,
+};
 use ft_generators::{benchmark_suite, shared_module_tree, Family, RandomTreeConfig};
 
 /// A modest cross-section of every generator in the crate: all structural
@@ -77,6 +81,29 @@ fn isomorphic_twins_hash_identically_across_the_corpus() {
             tree_hash(&twin),
             "{name}: an isomorphic twin must hash identically"
         );
+    }
+}
+
+/// The canonical form each tree keeps equals a from-scratch
+/// `canonical_form` — digests, event order and event ranks — on every corpus
+/// tree and on its isomorphic twin.
+#[test]
+fn the_kept_canonical_form_equals_a_fresh_one_across_the_corpus() {
+    for (name, tree) in corpus() {
+        let twin = isomorphic_twin(&tree);
+        for (label, tree) in [("tree", &tree), ("twin", &twin)] {
+            let kept = tree.canonical();
+            let fresh = canonical_form(tree);
+            assert_eq!(kept.hash, fresh.hash, "{name}/{label}: hash");
+            assert_eq!(
+                kept.event_order, fresh.event_order,
+                "{name}/{label}: event order"
+            );
+            assert_eq!(
+                kept.event_rank, fresh.event_rank,
+                "{name}/{label}: event rank"
+            );
+        }
     }
 }
 

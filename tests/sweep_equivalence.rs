@@ -12,12 +12,13 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bdd_engine::{compile_fault_tree, VariableOrdering};
 use fault_tree::parser::{galileo, json};
 use fault_tree::{BasicEvent, CutSet, FailureModel, FaultTree, Probability};
 use ft_analysis::importance::ImportanceTable;
-use ft_backend::{backend_for, BackendConfig, BackendKind};
+use ft_backend::{backend_for, AnalysisCache, BackendConfig, BackendKind};
 use ft_generators::Family;
 use ft_session::Analyzer;
 
@@ -177,6 +178,44 @@ fn facade_sweeps_match_facade_point_queries_bit_for_bit() {
                     "{name}/{kind}: facade sweep diverged at t={t}: {swept} vs {point}"
                 );
             }
+        }
+    }
+}
+
+/// A tree whose canonical form is already kept must not lend it to the
+/// copies `at_time` re-prices: cached point queries at every grid time —
+/// cold, then warm — answer bit for bit like uncached ones. A stale form
+/// would key every time on the primed tree's weights and replay one answer.
+#[test]
+fn cached_point_queries_on_re_priced_trees_match_uncached_ones() {
+    for (name, tree) in test_corpus() {
+        tree.canonical();
+        for kind in BACKENDS {
+            let cache = AnalysisCache::shared();
+            let fresh: Vec<f64> = GRID
+                .iter()
+                .map(|&t| {
+                    Analyzer::for_tree(tree.at_time(t))
+                        .backend(kind)
+                        .probability()
+                        .unwrap_or_else(|e| panic!("{name}/{kind}: t={t} failed: {e}"))
+                })
+                .collect();
+            for pass in ["cold", "warm"] {
+                for (&t, &expected) in GRID.iter().zip(&fresh) {
+                    let cached = Analyzer::for_tree(tree.at_time(t))
+                        .backend(kind)
+                        .cache(Arc::clone(&cache))
+                        .probability()
+                        .unwrap_or_else(|e| panic!("{name}/{kind}/{pass}: t={t} failed: {e}"));
+                    assert_eq!(
+                        cached.to_bits(),
+                        expected.to_bits(),
+                        "{name}/{kind}/{pass}: cached answer at t={t} is {cached}, uncached {expected}"
+                    );
+                }
+            }
+            assert!(cache.stats().hits > 0, "{name}/{kind}: warm pass must hit");
         }
     }
 }
