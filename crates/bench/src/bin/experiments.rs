@@ -1,7 +1,7 @@
 //! Prints the tables and series of the paper's evaluation (experiments E1–E7
 //! of `DESIGN.md`), plus the post-paper scaling experiments (E10 batch
-//! workers, E11 incremental enumeration, E12 cross-backend comparison, E13
-//! session-facade streaming, E14 hot-path).
+//! workers, E12 cross-backend comparison, E13 session-facade streaming, E14
+//! hot-path).
 //!
 //! ```text
 //! cargo run --release -p ft-bench --bin experiments -- all
@@ -12,7 +12,7 @@
 //!
 //! `--json` additionally writes a machine-readable `BENCH_<experiment>.json`
 //! snapshot into the current directory for the studies that support one
-//! (`hot-path`, `enumeration-scaling`, `session-streaming`), so the perf
+//! (`hot-path`, `session-streaming`), so the perf
 //! trajectory survives ROADMAP re-anchors. The `hot-path`, `cache-reuse`,
 //! `sweep-scaling` and `server-load` studies always write their snapshots:
 //! `BENCH_hotpath.json`, `BENCH_cache.json`, `BENCH_sweep.json` and
@@ -22,13 +22,11 @@ use std::process::ExitCode;
 
 use ft_bench::{
     backend_comparison, baselines, batch_scaling, cache_reuse_rows, cache_reuse_snapshot,
-    cache_reuse_table, encodings, enumeration_scaling, enumeration_scaling_rows,
-    enumeration_scaling_snapshot, enumeration_scaling_table, extended_baselines, extended_measures,
-    fig2, hot_path_rows, hot_path_snapshot, hot_path_table, portfolio, scalability,
-    server_load_rows, server_load_snapshot, server_load_table, session_streaming,
-    session_streaming_rows, session_streaming_snapshot, session_streaming_table,
-    sweep_scaling_rows, sweep_scaling_snapshot, sweep_scaling_table, table1, voting,
-    BASELINE_SIZES, SCALABILITY_SIZES,
+    cache_reuse_table, encodings, extended_baselines, extended_measures, fig2, hot_path_rows,
+    hot_path_snapshot, hot_path_table, portfolio, scalability, server_load_rows,
+    server_load_snapshot, server_load_table, session_streaming, session_streaming_rows,
+    session_streaming_snapshot, session_streaming_table, sweep_scaling_rows,
+    sweep_scaling_snapshot, sweep_scaling_table, table1, voting, BASELINE_SIZES, SCALABILITY_SIZES,
 };
 
 const SEED: u64 = 2020;
@@ -65,7 +63,6 @@ fn main() -> ExitCode {
             "extended-baselines",
             "measures",
             "batch-scaling",
-            "enumeration-scaling",
             "backend-comparison",
             "session-streaming",
             "hot-path",
@@ -109,26 +106,6 @@ fn main() -> ExitCode {
                     batch_scaling(16, 250, &[1, 2, 4, 8], SEED)
                 }
             }
-            "enumeration-scaling" => {
-                // The full configuration goes deeper (k) rather than wider:
-                // repeated MPMCS queries on shared-dag trees beyond ~250
-                // nodes — and deep-k sweeps generally — hit a weighted-OLL
-                // cliff in the *from-scratch baseline* (within-call weight
-                // fragmentation, the very pathology the incremental session
-                // compacts its way out of), so larger parameters would
-                // measure instance hardness rather than solver-state reuse.
-                let k = if quick { 15 } else { 18 };
-                if json {
-                    let rows = enumeration_scaling_rows(&[100, 250], k, SEED);
-                    write_snapshot(
-                        "BENCH_enumeration_scaling.json",
-                        &enumeration_scaling_snapshot(&rows, SEED),
-                    );
-                    enumeration_scaling_table(&rows, k)
-                } else {
-                    enumeration_scaling(&[100, 250], k, SEED)
-                }
-            }
             "backend-comparison" => {
                 // Classical engines enumerate every cut set, so the sweep
                 // stays in the size band where all three backends are exact
@@ -146,9 +123,10 @@ fn main() -> ExitCode {
             "session-streaming" => {
                 // E13: the facade's streamed prefix vs a deeper collected
                 // top-k; the rows assert prefix identity and SAT-level early
-                // exit before any timing is published. The depths mirror
-                // E11's proven-safe enumeration band (deeper sweeps hit the
-                // weighted-OLL cliff, see the E11 note above).
+                // exit before any timing is published. The depths stay in
+                // the band where repeated MPMCS queries are cheap: deeper
+                // sweeps, and shared-dag trees beyond ~250 nodes, hit a
+                // weighted-OLL cliff that measures instance hardness.
                 let (prefix, k) = if quick { (5, 15) } else { (8, 18) };
                 if json {
                     let rows = session_streaming_rows(&[100, 250], prefix, k, SEED);
@@ -229,7 +207,7 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!(
-                    "unknown experiment {other:?}; available: table1 fig2 scalability portfolio baselines encodings voting extended-baselines measures batch-scaling enumeration-scaling backend-comparison session-streaming hot-path cache-reuse sweep-scaling server-load all"
+                    "unknown experiment {other:?}; available: table1 fig2 scalability portfolio baselines encodings voting extended-baselines measures batch-scaling backend-comparison session-streaming hot-path cache-reuse sweep-scaling server-load all"
                 );
                 return ExitCode::from(2);
             }

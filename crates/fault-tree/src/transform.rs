@@ -170,8 +170,9 @@ pub fn success_tree(tree: &FaultTree) -> FaultTree {
 /// The minimal cut sets of the dual structure are exactly the minimal *path
 /// sets* of the original tree: inclusion-minimal sets of events whose joint
 /// non-occurrence guarantees that the top event cannot occur. This is the
-/// transformation used by `ft-analysis`' path-set module and by the
-/// maximum-probability minimal path set extension of the MPMCS pipeline.
+/// transformation used by `ft-analysis`' path-set module; the MaxSAT
+/// path-set queries run on the [`success_tree`] instead, whose event
+/// probabilities are the reliabilities.
 ///
 /// Unlike [`success_tree`], which reinterprets events as their complements
 /// (probability `1 − p`), the dual structure is still a formula over the

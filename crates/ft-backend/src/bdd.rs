@@ -5,8 +5,9 @@ use std::time::Instant;
 use bdd_engine::{compile_fault_tree, VariableOrdering, ZbddAnalysis};
 use fault_tree::FaultTree;
 
-use crate::solution::{canonical_sort, charge_first, BackendSolution};
-use crate::{AnalysisBackend, BackendError};
+use crate::control::QueryControl;
+use crate::solution::{ranked, BackendSolution};
+use crate::{AnalysisBackend, BackendError, Enumerated};
 
 /// The classical exact BDD engine as an analysis backend.
 ///
@@ -48,13 +49,18 @@ impl AnalysisBackend for BddBackend {
         Ok(self.all_mcs(tree)?.swap_remove(0))
     }
 
-    fn top_k(&self, tree: &FaultTree, k: usize) -> Result<Vec<BackendSolution>, BackendError> {
-        let mut all = self.all_mcs(tree)?;
-        all.truncate(k);
-        Ok(all)
-    }
-
-    fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError> {
+    /// The ZBDD computes the whole family before any cut set is known, so
+    /// the control is checked once, before compiling: a stopped query
+    /// reports an empty, labelled prefix.
+    fn enumerate(
+        &self,
+        tree: &FaultTree,
+        limit: Option<usize>,
+        control: &QueryControl,
+    ) -> Result<Enumerated, BackendError> {
+        if let Some(cause) = control.stop_cause() {
+            return Ok(Enumerated::interrupted(cause));
+        }
         let start = Instant::now();
         let zbdd = ZbddAnalysis::new(tree);
         let count = zbdd.count();
@@ -70,14 +76,14 @@ impl AnalysisBackend for BddBackend {
         if count == 0 {
             return Err(BackendError::NoCutSet);
         }
-        let mut solutions: Vec<BackendSolution> = zbdd
-            .minimal_cut_sets(self.max_cut_sets)
-            .into_iter()
-            .map(|cut| BackendSolution::from_cut(tree, cut, self.name()))
-            .collect();
-        canonical_sort(tree, &mut solutions);
-        charge_first(&mut solutions, start.elapsed());
-        Ok(solutions)
+        let cuts = zbdd.minimal_cut_sets(self.max_cut_sets);
+        Ok(Enumerated::complete(ranked(
+            tree,
+            cuts,
+            self.name(),
+            limit,
+            start,
+        )))
     }
 
     fn top_event_probability(&self, tree: &FaultTree) -> Result<f64, BackendError> {

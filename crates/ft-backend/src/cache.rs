@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex};
 use fault_tree::{CanonicalForm, CutSet, FailureModel, FaultTree};
 
 use crate::solution::{canonical_sort, BackendSolution};
-use crate::{BackendConfig, BackendError, BackendKind};
+use crate::{AnalysisBackend, BackendConfig, BackendError, BackendKind, Enumerated, QueryControl};
 
 /// Number of independent shards (power of two; selected by key hash).
 const SHARDS: usize = 16;
@@ -68,9 +68,9 @@ pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 pub enum QueryKind {
     /// [`AnalysisBackend::mpmcs`](crate::AnalysisBackend::mpmcs).
     Mpmcs,
-    /// [`AnalysisBackend::top_k`](crate::AnalysisBackend::top_k) with this `k`.
+    /// [`AnalysisBackend::enumerate`] limited to this many solutions.
     TopK(usize),
-    /// [`AnalysisBackend::all_mcs`](crate::AnalysisBackend::all_mcs).
+    /// [`AnalysisBackend::enumerate`] without a limit.
     AllMcs,
     /// [`AnalysisBackend::top_event_probability`](crate::AnalysisBackend::top_event_probability).
     TopProbability,
@@ -529,20 +529,28 @@ impl CacheHandle {
             .insert(self.key(tree, query), CachedAnswer::NoCutSet);
     }
 
-    /// Consults the cache for an enumeration query; on a miss runs `solve`
-    /// and stores the result when (and only when) it is a complete family
-    /// or a [`BackendError::NoCutSet`] proof.
-    pub(crate) fn solutions(
+    /// Consults the cache for an enumeration query — the first `limit`
+    /// solutions, or the whole family when `None` — and on a miss runs
+    /// `solve`, storing its answer when (and only when) it is complete or a
+    /// [`BackendError::NoCutSet`] proof. A cached answer is complete, so it
+    /// answers even an expiring control.
+    pub(crate) fn enumeration(
         &self,
         tree: &FaultTree,
-        query: QueryKind,
-        solve: impl FnOnce() -> Result<Vec<BackendSolution>, BackendError>,
-    ) -> Result<Vec<BackendSolution>, BackendError> {
+        limit: Option<usize>,
+        solve: impl FnOnce() -> Result<Enumerated, BackendError>,
+    ) -> Result<Enumerated, BackendError> {
+        let query = limit.map_or(QueryKind::AllMcs, QueryKind::TopK);
         self.answer(
             self.key(tree, query),
-            |hit| hit.into_family(tree),
+            |hit| hit.into_family(tree).map(Enumerated::complete),
             solve,
-            |solutions| Some(encode_family(tree, solutions)),
+            // Truncated prefixes must never poison the table.
+            |enumerated| {
+                enumerated
+                    .is_complete()
+                    .then(|| encode_family(tree, &enumerated.solutions))
+            },
         )
     }
 
@@ -676,8 +684,6 @@ pub struct CachedBackend {
     handle: CacheHandle,
 }
 
-use crate::{AnalysisBackend, Enumerated, QueryControl};
-
 impl CachedBackend {
     /// Wraps `inner`, consulting `cache` under the given configuration
     /// fingerprint (see [`config_fingerprint`]).
@@ -702,17 +708,14 @@ impl AnalysisBackend for CachedBackend {
         self.handle.best(tree, || self.inner.mpmcs(tree))
     }
 
-    fn top_k(&self, tree: &FaultTree, k: usize) -> Result<Vec<BackendSolution>, BackendError> {
-        if k == 0 {
-            return Ok(Vec::new());
-        }
+    fn enumerate(
+        &self,
+        tree: &FaultTree,
+        limit: Option<usize>,
+        control: &QueryControl,
+    ) -> Result<Enumerated, BackendError> {
         self.handle
-            .solutions(tree, QueryKind::TopK(k), || self.inner.top_k(tree, k))
-    }
-
-    fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError> {
-        self.handle
-            .solutions(tree, QueryKind::AllMcs, || self.inner.all_mcs(tree))
+            .enumeration(tree, limit, || self.inner.enumerate(tree, limit, control))
     }
 
     fn top_event_probability(&self, tree: &FaultTree) -> Result<f64, BackendError> {
@@ -723,31 +726,6 @@ impl AnalysisBackend for CachedBackend {
     fn probability_sweep(&self, tree: &FaultTree, grid: &[f64]) -> Result<Vec<f64>, BackendError> {
         self.handle
             .curve(tree, grid, || self.inner.probability_sweep(tree, grid))
-    }
-
-    fn all_mcs_under(
-        &self,
-        tree: &FaultTree,
-        control: &QueryControl,
-    ) -> Result<Enumerated, BackendError> {
-        self.handle.answer(
-            self.handle.key(tree, QueryKind::AllMcs),
-            // A cached complete family answers even an expiring control —
-            // returning it is free.
-            |hit| {
-                hit.into_family(tree).map(|solutions| Enumerated {
-                    solutions,
-                    stopped: None,
-                })
-            },
-            || self.inner.all_mcs_under(tree, control),
-            // Truncated prefixes must never poison the table.
-            |enumerated| {
-                enumerated
-                    .is_complete()
-                    .then(|| encode_family(tree, &enumerated.solutions))
-            },
-        )
     }
 }
 
@@ -939,13 +917,13 @@ mod tests {
         cancelled.cancel();
         let control = QueryControl::begin(&crate::Budget::unlimited(), &cancelled);
         let truncated = backend
-            .all_mcs_under(&tree, &control)
+            .enumerate(&tree, None, &control)
             .expect("stopped, not failed");
         assert!(truncated.stopped.is_some());
         assert_eq!(cache.stats().insertions, 0, "no poison");
         // The warm query still computes — and then caches — the full family.
         let relaxed = QueryControl::begin(&crate::Budget::unlimited(), &crate::CancelToken::new());
-        let complete = backend.all_mcs_under(&tree, &relaxed).expect("solvable");
+        let complete = backend.enumerate(&tree, None, &relaxed).expect("solvable");
         assert!(complete.is_complete());
         assert_eq!(complete.solutions.len(), 5);
         assert_eq!(cache.stats().insertions, 1);

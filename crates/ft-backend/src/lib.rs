@@ -6,9 +6,9 @@
 //! engines to answer the *same* queries through the *same* interface — which
 //! is what this crate provides:
 //!
-//! * [`AnalysisBackend`] — one trait for the four core fault-tree queries:
-//!   the MPMCS, top-k enumeration, all-MCS enumeration, and the exact
-//!   top-event probability;
+//! * [`AnalysisBackend`] — one trait for the core fault-tree queries: the
+//!   MPMCS, one budgeted enumeration entry (top-k and all-MCS are wrappers
+//!   over it), the exact top-event probability and its mission-time sweep;
 //! * [`MaxSatBackend`] — the paper's pipeline, wrapping the incremental
 //!   [`mpmcs::MpmcsSolver`];
 //! * [`BddBackend`] — the classical exact engine: minimal cut sets from a
@@ -73,7 +73,7 @@ pub use cache::{
     CachedBackend, QueryKind, DEFAULT_CACHE_BYTES,
 };
 pub use control::{Budget, CancelToken, QueryControl, StopCause};
-pub use maxsat::MaxSatBackend;
+pub use maxsat::{pull_solutions, MaxSatBackend};
 pub use mocus::{exact_union_probability, reprice_sweep, MocusBackend};
 pub use preprocess::{decompose, ModularDecomposition, ModulePiece, PreprocessedBackend};
 pub use solution::{canonical_sort, scaled_cut_cost, BackendSolution};
@@ -126,7 +126,8 @@ impl fmt::Display for BackendKind {
 /// bench harness).
 #[derive(Clone, Copy, Debug)]
 pub struct BackendConfig {
-    /// The MaxSAT strategy used by [`MaxSatBackend`].
+    /// The MaxSAT solver of [`MaxSatBackend`]'s single-MPMCS query (its
+    /// enumerations always drain the OLL session of an [`mpmcs::McsStream`]).
     pub algorithm: AlgorithmChoice,
     /// The SAT branching heuristic used by [`MaxSatBackend`]'s solvers.
     pub branching: BranchingChoice,
@@ -215,36 +216,60 @@ impl std::error::Error for BackendError {}
 ///
 /// Only the MaxSAT engine is *anytime* — a stopped query still reports the
 /// canonical prefix it had proven. The classical engines (ZBDD compilation,
-/// MOCUS expansion) compute the full family before any solution is known, so
-/// a stopped query reports an empty prefix; either way the partial result is
-/// well-labelled rather than silently wrong.
+/// MOCUS expansion) and the modular composition compute the full family of
+/// every piece before any solution is known, so a stopped query reports an
+/// empty prefix; either way the partial result is well-labelled rather than
+/// silently wrong.
 #[derive(Clone, Debug)]
 pub struct Enumerated {
     /// The reported solutions, in the canonical cross-backend order. A
-    /// complete query reports the full family; a stopped MaxSAT query
-    /// reports the proven prefix.
+    /// complete query reports the whole requested prefix (the full family
+    /// when unlimited); a stopped MaxSAT query reports the proven prefix.
     pub solutions: Vec<BackendSolution>,
     /// `None` when the query ran to completion; otherwise why it stopped.
     pub stopped: Option<StopCause>,
 }
 
 impl Enumerated {
+    /// A query that ran to completion.
+    pub(crate) fn complete(solutions: Vec<BackendSolution>) -> Self {
+        Enumerated {
+            solutions,
+            stopped: None,
+        }
+    }
+
+    /// A query `cause` stopped before any solution was known.
+    pub(crate) fn interrupted(cause: StopCause) -> Self {
+        Enumerated {
+            solutions: Vec::new(),
+            stopped: Some(cause),
+        }
+    }
+
     /// `true` when the query ran to completion (the solutions are the whole
-    /// minimal-cut-set family).
+    /// requested prefix of the minimal-cut-set family).
     pub fn is_complete(&self) -> bool {
         self.stopped.is_none()
     }
 }
 
-/// One interface for the four core fault-tree analysis queries, implemented
-/// by all three engines.
+/// One interface for the core fault-tree analysis queries, implemented by
+/// all three engines and by the preprocessing and caching wrappers.
 ///
-/// Implementations return cut sets over the event identifiers of the tree
-/// passed to the query, in the canonical order of [`canonical_sort`]
-/// (non-increasing probability, refined by exact scaled cost, ties broken by
-/// cut set) — so any two backends are directly comparable. Backends are
+/// Enumeration has one required entry, [`enumerate`](AnalysisBackend::enumerate),
+/// which takes a prefix length and a [`QueryControl`]; [`top_k`] and
+/// [`all_mcs`] are provided wrappers running it unbounded. Implementations
+/// return cut sets over the event identifiers of the tree passed to the
+/// query, in the canonical order of [`canonical_sort`] (non-increasing
+/// probability, refined by exact scaled cost, ties broken by cut set), and a
+/// limited query answers the first entries of that order — so any two
+/// backends are directly comparable at every rank. Backends are
 /// `Send + Sync`: they hold configuration, not per-query state, so one
 /// instance may serve concurrent queries from many threads.
+///
+/// [`top_k`]: AnalysisBackend::top_k
+/// [`all_mcs`]: AnalysisBackend::all_mcs
 pub trait AnalysisBackend: Send + Sync {
     /// The stable engine name (`"maxsat"`, `"bdd"`, `"mocus"`).
     fn name(&self) -> &'static str;
@@ -257,22 +282,52 @@ pub trait AnalysisBackend: Send + Sync {
     /// budget error from the classical engines.
     fn mpmcs(&self, tree: &FaultTree) -> Result<BackendSolution, BackendError>;
 
-    /// The `k` most probable minimal cut sets, most probable first. Fewer
-    /// than `k` are returned when the tree has fewer minimal cut sets.
+    /// The first `limit` minimal cut sets in canonical order (every one when
+    /// `limit` is `None`), under a deadline / cancellation `control` — the
+    /// one enumeration entry, which the session facade's budgets flow
+    /// through. Fewer are returned when the tree has fewer minimal cut sets.
+    ///
+    /// The MaxSAT engine pulls from a live [`mpmcs::McsStream`] with the
+    /// control's probe threaded into the CDCL search and reports the proven
+    /// prefix when stopped; MOCUS polls the control inside its expansion; the
+    /// ZBDD checks it before compiling; the preprocessing pass hands it to
+    /// every module and quotient solve.
     ///
     /// # Errors
     ///
     /// [`BackendError::NoCutSet`] when the tree has no cut set at all, or a
-    /// budget error from the classical engines.
-    fn top_k(&self, tree: &FaultTree, k: usize) -> Result<Vec<BackendSolution>, BackendError>;
+    /// budget error from the classical engines. A *stopped* query is not an
+    /// error — it reports [`Enumerated::stopped`].
+    fn enumerate(
+        &self,
+        tree: &FaultTree,
+        limit: Option<usize>,
+        control: &QueryControl,
+    ) -> Result<Enumerated, BackendError>;
 
-    /// Every minimal cut set, most probable first.
+    /// The `k` most probable minimal cut sets, most probable first:
+    /// [`enumerate`](AnalysisBackend::enumerate) with limit `k`, unbounded.
     ///
     /// # Errors
     ///
-    /// [`BackendError::NoCutSet`] when the tree has no cut set at all, or a
-    /// budget error from the classical engines.
-    fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError>;
+    /// The same errors as [`enumerate`](AnalysisBackend::enumerate).
+    fn top_k(&self, tree: &FaultTree, k: usize) -> Result<Vec<BackendSolution>, BackendError> {
+        Ok(self
+            .enumerate(tree, Some(k), &QueryControl::unbounded())?
+            .solutions)
+    }
+
+    /// Every minimal cut set, most probable first:
+    /// [`enumerate`](AnalysisBackend::enumerate) without a limit, unbounded.
+    ///
+    /// # Errors
+    ///
+    /// The same errors as [`enumerate`](AnalysisBackend::enumerate).
+    fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError> {
+        Ok(self
+            .enumerate(tree, None, &QueryControl::unbounded())?
+            .solutions)
+    }
 
     /// The exact probability of the top event.
     ///
@@ -309,37 +364,6 @@ pub trait AnalysisBackend: Send + Sync {
         grid.iter()
             .map(|&t| self.top_event_probability(&tree.at_time(t)))
             .collect()
-    }
-
-    /// Every minimal cut set, most probable first, under a deadline /
-    /// cancellation control — the entry point the session facade's budgets
-    /// flow through.
-    ///
-    /// The default implementation brackets the collected
-    /// [`all_mcs`](AnalysisBackend::all_mcs) with control checks, so a query
-    /// is only stopped at the boundaries; engines with interruptible inner loops
-    /// override it (the MaxSAT engine streams and reports the proven prefix,
-    /// MOCUS polls the control inside its expansion loop).
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`all_mcs`](AnalysisBackend::all_mcs); a *stopped*
-    /// query is not an error — it reports [`Enumerated::stopped`].
-    fn all_mcs_under(
-        &self,
-        tree: &FaultTree,
-        control: &QueryControl,
-    ) -> Result<Enumerated, BackendError> {
-        if let Some(cause) = control.stop_cause() {
-            return Ok(Enumerated {
-                solutions: Vec::new(),
-                stopped: Some(cause),
-            });
-        }
-        Ok(Enumerated {
-            solutions: self.all_mcs(tree)?,
-            stopped: None,
-        })
     }
 }
 

@@ -3,9 +3,7 @@
 use std::sync::Arc;
 
 use fault_tree::{CutSet, FaultTree};
-use mpmcs::{
-    AlgorithmChoice, EnumerationLimit, McsStream, MpmcsError, MpmcsOptions, MpmcsSolver, StreamStep,
-};
+use mpmcs::{AlgorithmChoice, McsStream, MpmcsError, MpmcsOptions, MpmcsSolver, StreamStep};
 
 use crate::control::{QueryControl, StopCause};
 use crate::solution::BackendSolution;
@@ -14,8 +12,9 @@ use crate::{AnalysisBackend, BackendError, Enumerated};
 /// The paper's Weighted Partial MaxSAT pipeline as an analysis backend,
 /// wrapping the incremental [`MpmcsSolver`].
 ///
-/// MPMCS and enumeration queries delegate directly to the solver (one
-/// persistent incremental session per enumeration). The exact top-event
+/// The MPMCS query runs [`MpmcsSolver::solve`] with the configured
+/// algorithm; enumeration drains one persistent [`McsStream`] session per
+/// query, whatever the algorithm. The exact top-event
 /// probability — which the MaxSAT formulation does not compute natively —
 /// enumerates every minimal cut set through the SAT engine and quantifies
 /// the union exactly by pivotal decomposition, within the configured budget.
@@ -59,6 +58,54 @@ impl MaxSatBackend {
     }
 }
 
+/// The one pull loop over an [`McsStream`] under a [`QueryControl`], shared
+/// by [`MaxSatBackend`]'s enumeration and the session facade's warm prefix
+/// and live streams:
+/// appends solutions to `solutions` until it holds `target` of them (every
+/// one when `None`), the stream is exhausted, or `control` fires. The
+/// control's probe is threaded into the CDCL search for the duration of the
+/// call and polled between pulls, since buffered tie-group members are
+/// delivered without a SAT call.
+///
+/// Returns the stop cause when the control cut the pull short;
+/// [`McsStream::is_exhausted`] tells a finished family from a reached
+/// target.
+///
+/// # Errors
+///
+/// The stream's errors: [`MpmcsError::NoCutSet`] when the tree has no cut
+/// set at all, and verification failures.
+pub fn pull_solutions(
+    stream: &mut McsStream,
+    solutions: &mut Vec<BackendSolution>,
+    target: Option<usize>,
+    control: &QueryControl,
+) -> Result<Option<StopCause>, MpmcsError> {
+    stream.set_interrupt(Some(control.interrupt_hook()));
+    let outcome = loop {
+        if target.is_some_and(|t| solutions.len() >= t) {
+            break Ok(None);
+        }
+        if let Some(cause) = control.stop_cause() {
+            break Ok(Some(cause));
+        }
+        match stream.next_step() {
+            Ok(StreamStep::Solution(solution)) => {
+                solutions.push(BackendSolution::from_mpmcs(solution));
+            }
+            Ok(StreamStep::Exhausted) => break Ok(None),
+            // The hook may have fired between two control polls; report the
+            // most specific cause still observable.
+            Ok(StreamStep::Interrupted) => {
+                break Ok(Some(control.stop_cause().unwrap_or(StopCause::Cancelled)))
+            }
+            Err(error) => break Err(error),
+        }
+    };
+    stream.set_interrupt(None);
+    outcome
+}
+
 fn map_error(error: MpmcsError) -> BackendError {
     match error {
         MpmcsError::NoCutSet => BackendError::NoCutSet,
@@ -78,24 +125,28 @@ impl AnalysisBackend for MaxSatBackend {
             .map_err(map_error)
     }
 
-    fn top_k(&self, tree: &FaultTree, k: usize) -> Result<Vec<BackendSolution>, BackendError> {
-        Ok(self
-            .solver()
-            .solve_top_k(tree, k)
-            .map_err(map_error)?
-            .into_iter()
-            .map(BackendSolution::from_mpmcs)
-            .collect())
-    }
-
-    fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError> {
-        Ok(self
-            .solver()
-            .enumerate(tree, EnumerationLimit::All)
-            .map_err(map_error)?
-            .into_iter()
-            .map(BackendSolution::from_mpmcs)
-            .collect())
+    /// The MaxSAT engine is *anytime*: the enumeration drains one
+    /// [`McsStream`] under `control` (see [`pull_solutions`]), so a stopped
+    /// query reports the canonical prefix it had proven instead of nothing.
+    /// The configured algorithm does not apply here — it selects the solver
+    /// of [`mpmcs`](AnalysisBackend::mpmcs) only.
+    fn enumerate(
+        &self,
+        tree: &FaultTree,
+        limit: Option<usize>,
+        control: &QueryControl,
+    ) -> Result<Enumerated, BackendError> {
+        if let Some(cause) = control.stop_cause() {
+            return Ok(Enumerated::interrupted(cause));
+        }
+        let mut solutions = Vec::new();
+        if limit == Some(0) {
+            return Ok(Enumerated::complete(solutions));
+        }
+        let mut stream = McsStream::open(Arc::new(tree.clone()), self.options);
+        let stopped =
+            pull_solutions(&mut stream, &mut solutions, limit, control).map_err(map_error)?;
+        Ok(Enumerated { solutions, stopped })
     }
 
     fn top_event_probability(&self, tree: &FaultTree) -> Result<f64, BackendError> {
@@ -126,58 +177,6 @@ impl AnalysisBackend for MaxSatBackend {
             self.name(),
             true,
         )
-    }
-
-    /// The MaxSAT engine is *anytime*: the enumeration streams one cut set at
-    /// a time from a live incremental session with the control's probe
-    /// threaded down into the CDCL search loop, so a stopped query reports
-    /// the canonical prefix it had proven instead of nothing.
-    fn all_mcs_under(
-        &self,
-        tree: &FaultTree,
-        control: &QueryControl,
-    ) -> Result<Enumerated, BackendError> {
-        let stopped = |solutions: Vec<BackendSolution>, control: &QueryControl| Enumerated {
-            solutions,
-            // The hook may have fired between two control polls; report the
-            // most specific cause still observable.
-            stopped: Some(control.stop_cause().unwrap_or(StopCause::Cancelled)),
-        };
-        if control.stop_cause().is_some() {
-            return Ok(stopped(Vec::new(), control));
-        }
-        if self.options.algorithm == AlgorithmChoice::LinearSu || !self.options.incremental {
-            // An explicit linear-SAT–UNSAT (or from-scratch) request has no
-            // streaming counterpart; honour it through the collected path
-            // with control checks at the boundaries, keeping the requested
-            // algorithm and its tags instead of silently running OLL.
-            return Ok(Enumerated {
-                solutions: self.all_mcs(tree)?,
-                stopped: None,
-            });
-        }
-        let mut stream = McsStream::open(Arc::new(tree.clone()), self.options);
-        stream.set_interrupt(Some(control.interrupt_hook()));
-        let mut solutions = Vec::new();
-        loop {
-            // Solutions already proven (buffered tie groups) bypass the SAT
-            // loop and its probe, so poll the control here as well.
-            if control.stop_cause().is_some() {
-                return Ok(stopped(solutions, control));
-            }
-            match stream.next_step().map_err(map_error)? {
-                StreamStep::Solution(solution) => {
-                    solutions.push(BackendSolution::from_mpmcs(solution));
-                }
-                StreamStep::Exhausted => {
-                    return Ok(Enumerated {
-                        solutions,
-                        stopped: None,
-                    })
-                }
-                StreamStep::Interrupted => return Ok(stopped(solutions, control)),
-            }
-        }
     }
 }
 

@@ -7,7 +7,7 @@ use fault_tree::{CutSet, EventId, FaultTree};
 use ft_analysis::mocus::{Mocus, MocusError};
 
 use crate::control::{QueryControl, StopCause};
-use crate::solution::{canonical_sort, charge_first, BackendSolution};
+use crate::solution::{canonical_sort, ranked, BackendSolution};
 use crate::{AnalysisBackend, BackendError, Enumerated};
 
 /// The classic MOCUS top-down cut-set generator as an analysis backend.
@@ -262,27 +262,6 @@ impl AnalysisBackend for MocusBackend {
         Ok(self.all_mcs(tree)?.swap_remove(0))
     }
 
-    fn top_k(&self, tree: &FaultTree, k: usize) -> Result<Vec<BackendSolution>, BackendError> {
-        let mut all = self.all_mcs(tree)?;
-        all.truncate(k);
-        Ok(all)
-    }
-
-    fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError> {
-        let start = Instant::now();
-        let cut_sets = self.cut_sets(tree)?;
-        if cut_sets.is_empty() {
-            return Err(BackendError::NoCutSet);
-        }
-        let mut solutions: Vec<BackendSolution> = cut_sets
-            .into_iter()
-            .map(|cut| BackendSolution::from_cut(tree, cut, self.name()))
-            .collect();
-        canonical_sort(tree, &mut solutions);
-        charge_first(&mut solutions, start.elapsed());
-        Ok(solutions)
-    }
-
     fn top_event_probability(&self, tree: &FaultTree) -> Result<f64, BackendError> {
         let cut_sets = self.cut_sets(tree)?;
         exact_union_probability(tree, &cut_sets, self.probability_budget, self.name())
@@ -309,9 +288,10 @@ impl AnalysisBackend for MocusBackend {
     /// The expansion computes the family bottom-up — no cut set is known
     /// until the end — so a stopped query reports an empty, well-labelled
     /// prefix rather than unordered partial work.
-    fn all_mcs_under(
+    fn enumerate(
         &self,
         tree: &FaultTree,
+        limit: Option<usize>,
         control: &QueryControl,
     ) -> Result<Enumerated, BackendError> {
         let start = Instant::now();
@@ -322,10 +302,9 @@ impl AnalysisBackend for MocusBackend {
         let cut_sets = match expansion {
             Ok(cut_sets) => cut_sets,
             Err(MocusError::Interrupted) => {
-                return Ok(Enumerated {
-                    solutions: Vec::new(),
-                    stopped: Some(control.stop_cause().unwrap_or(StopCause::Cancelled)),
-                })
+                return Ok(Enumerated::interrupted(
+                    control.stop_cause().unwrap_or(StopCause::Cancelled),
+                ))
             }
             Err(error) => {
                 return Err(BackendError::Budget {
@@ -337,16 +316,13 @@ impl AnalysisBackend for MocusBackend {
         if cut_sets.is_empty() {
             return Err(BackendError::NoCutSet);
         }
-        let mut solutions: Vec<BackendSolution> = cut_sets
-            .into_iter()
-            .map(|cut| BackendSolution::from_cut(tree, cut, self.name()))
-            .collect();
-        canonical_sort(tree, &mut solutions);
-        charge_first(&mut solutions, start.elapsed());
-        Ok(Enumerated {
-            solutions,
-            stopped: None,
-        })
+        Ok(Enumerated::complete(ranked(
+            tree,
+            cut_sets,
+            self.name(),
+            limit,
+            start,
+        )))
     }
 }
 

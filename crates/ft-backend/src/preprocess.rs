@@ -30,9 +30,10 @@ use fault_tree::{BasicEvent, CutSet, EventId, FaultTree, Gate, GateId, NodeId, P
 use ft_analysis::modules::{gate_event_support, modules};
 use maxsat_solver::MaxSatStats;
 
-use crate::cache::{AnalysisCache, CacheHandle, QueryKind};
-use crate::solution::{canonical_sort, charge_first, BackendSolution};
-use crate::{AnalysisBackend, BackendError};
+use crate::cache::{AnalysisCache, CacheHandle};
+use crate::control::QueryControl;
+use crate::solution::{ranked, scaled_cut_cost, BackendSolution};
+use crate::{AnalysisBackend, BackendError, Enumerated};
 
 /// Modules smaller than this many basic events are not worth splitting off.
 const MIN_MODULE_EVENTS: usize = 2;
@@ -384,19 +385,11 @@ impl PreprocessedBackend {
         &self,
         piece: &ModulePiece,
         limit: Option<usize>,
-    ) -> Result<Vec<BackendSolution>, BackendError> {
-        let solve = || match limit {
-            Some(k) => self.top_k(&piece.tree, k),
-            None => self.all_mcs(&piece.tree),
-        };
+        control: &QueryControl,
+    ) -> Result<Enumerated, BackendError> {
+        let solve = || self.enumerate(&piece.tree, limit, control);
         match &self.cache {
-            Some(handle) => {
-                let query = match limit {
-                    Some(k) => QueryKind::TopK(k),
-                    None => QueryKind::AllMcs,
-                };
-                handle.solutions(&piece.tree, query, solve)
-            }
+            Some(handle) => handle.enumeration(&piece.tree, limit, solve),
             None => solve(),
         }
     }
@@ -437,33 +430,74 @@ impl PreprocessedBackend {
 
     /// Solves the per-module enumeration lists (over original identifiers)
     /// plus the quotient list for an enumeration query; `limit` bounds the
-    /// per-module and quotient lists (top-k) or is `None` for all-MCS.
+    /// per-module and quotient lists (top-k) or is `None` for all-MCS. A
+    /// piece the control stops stops the whole query with an empty,
+    /// labelled prefix; `None` sends the query to the whole tree instead:
+    /// the top-k cross-product outgrew its budget, or the quotient's `k`-th
+    /// and next solutions are too close in cost to tell which of them the
+    /// tree's canonical top-k draws from.
     fn compose_enumeration(
         &self,
         tree: &FaultTree,
         decomposition: &ModularDecomposition,
         limit: Option<usize>,
-    ) -> Result<Option<Vec<BackendSolution>>, BackendError> {
+        control: &QueryControl,
+    ) -> Result<Option<Enumerated>, BackendError> {
         let start = Instant::now();
         let mut module_choices: Vec<Vec<CutSet>> = Vec::new();
         let mut module_best: Vec<f64> = Vec::new();
+        let mut module_best_cost: Vec<u64> = Vec::new();
         for piece in &decomposition.modules {
-            let solutions = self.module_solutions(piece, limit)?;
-            module_best.push(solutions[0].probability);
+            let module = self.module_solutions(piece, limit, control)?;
+            if let Some(cause) = module.stopped {
+                return Ok(Some(Enumerated::interrupted(cause)));
+            }
+            let best = &module.solutions[0];
+            module_best.push(best.probability);
+            module_best_cost.push(scaled_cut_cost(&piece.tree, &best.cut_set));
             module_choices.push(
-                solutions
+                module
+                    .solutions
                     .iter()
                     .map(|s| piece.to_original(&s.cut_set))
                     .collect(),
             );
         }
         let quotient = decomposition.quotient_tree(&module_best);
-        let quotient_solutions = match limit {
-            Some(k) => self.inner.top_k(&quotient, k)?,
-            None => self.inner.all_mcs(&quotient)?,
-        };
-        let mut composed: Vec<BackendSolution> = Vec::new();
-        for quotient_solution in &quotient_solutions {
+        // One quotient solution past `k` tells whether the `k`-th closes the
+        // prefix the whole tree needs.
+        let request = limit.map(|k| k.saturating_add(1));
+        let mut quotient_answer = self.inner.enumerate(&quotient, request, control)?;
+        if let Some(cause) = quotient_answer.stopped {
+            return Ok(Some(Enumerated::interrupted(cause)));
+        }
+        if let Some(k) = limit.filter(|&k| quotient_answer.solutions.len() > k) {
+            // Each pseudo-event (the quotient's last events) prices its
+            // module's best cut set as one rounded scaled weight, while the
+            // tree sums the rounded weights of that set's events, so a
+            // quotient cost sits at most `slack` from the exact cost of its
+            // best expansion. Unless the next quotient solution costs over
+            // `2 * slack` more than the `k`-th, one of its expansions can tie
+            // with (or undercut) the top-k, and the quotient breaks ties by
+            // its own identifiers, not the tree's.
+            let first_pseudo = quotient.num_events() - module_best_cost.len();
+            let slack: u64 = module_best_cost
+                .iter()
+                .enumerate()
+                .map(|(index, &exact)| {
+                    let pseudo = std::iter::once(EventId::from_index(first_pseudo + index));
+                    scaled_cut_cost(&quotient, &pseudo.collect()).abs_diff(exact)
+                })
+                .sum();
+            let cost =
+                |rank: usize| scaled_cut_cost(&quotient, &quotient_answer.solutions[rank].cut_set);
+            if cost(k).saturating_sub(cost(k - 1)) <= slack.saturating_mul(2) {
+                return Ok(None);
+            }
+            quotient_answer.solutions.truncate(k);
+        }
+        let mut composed: Vec<CutSet> = Vec::new();
+        for quotient_solution in &quotient_answer.solutions {
             // Top-k composition is budgeted (the cross-product can outgrow
             // the requested work, in which case the caller solves the whole
             // tree instead); all-MCS expansion is the true answer size.
@@ -476,16 +510,15 @@ impl PreprocessedBackend {
             else {
                 return Ok(None);
             };
-            for cut in expanded {
-                composed.push(BackendSolution::from_cut(tree, cut, self.inner.name()));
-            }
+            composed.extend(expanded);
         }
-        canonical_sort(tree, &mut composed);
-        if let Some(k) = limit {
-            composed.truncate(k);
-        }
-        charge_first(&mut composed, start.elapsed());
-        Ok(Some(composed))
+        Ok(Some(Enumerated::complete(ranked(
+            tree,
+            composed,
+            self.inner.name(),
+            limit,
+            start,
+        ))))
     }
 }
 
@@ -532,28 +565,23 @@ impl AnalysisBackend for PreprocessedBackend {
         Ok(solution)
     }
 
-    fn top_k(&self, tree: &FaultTree, k: usize) -> Result<Vec<BackendSolution>, BackendError> {
-        if k == 0 {
-            return Ok(Vec::new());
+    fn enumerate(
+        &self,
+        tree: &FaultTree,
+        limit: Option<usize>,
+        control: &QueryControl,
+    ) -> Result<Enumerated, BackendError> {
+        if limit == Some(0) {
+            return Ok(Enumerated::complete(Vec::new()));
         }
         let simplified = simplify(tree);
         let Some(decomposition) = decompose(&simplified) else {
-            return self.inner.top_k(&simplified, k);
+            return self.inner.enumerate(&simplified, limit, control);
         };
-        match self.compose_enumeration(tree, &decomposition, Some(k))? {
-            Some(solutions) => Ok(solutions),
-            None => self.inner.top_k(&simplified, k),
+        match self.compose_enumeration(tree, &decomposition, limit, control)? {
+            Some(enumerated) => Ok(enumerated),
+            None => self.inner.enumerate(&simplified, limit, control),
         }
-    }
-
-    fn all_mcs(&self, tree: &FaultTree) -> Result<Vec<BackendSolution>, BackendError> {
-        let simplified = simplify(tree);
-        let Some(decomposition) = decompose(&simplified) else {
-            return self.inner.all_mcs(&simplified);
-        };
-        Ok(self
-            .compose_enumeration(tree, &decomposition, None)?
-            .expect("all-MCS composition is never budgeted"))
     }
 
     fn top_event_probability(&self, tree: &FaultTree) -> Result<f64, BackendError> {

@@ -1,6 +1,6 @@
 //! The backend-agnostic solution type and the canonical output ordering.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fault_tree::{CutSet, FaultTree};
 use maxsat_solver::MaxSatStats;
@@ -134,13 +134,30 @@ pub fn canonical_sort(tree: &FaultTree, solutions: &mut [BackendSolution]) {
     solutions.sort_by_cached_key(|s| (scaled_cut_cost(tree, &s.cut_set), s.cut_set.clone()));
 }
 
-/// Charges `total` wall-clock time to the first solution of a one-pass
-/// enumeration (the rest keep zero), mirroring the MaxSAT pipeline's
-/// convention of charging setup to the first reported solution.
-pub(crate) fn charge_first(solutions: &mut [BackendSolution], total: Duration) {
-    if let Some(first) = solutions.first_mut() {
-        first.duration = total;
+/// Ranks the cut sets of a one-pass enumeration: builds each solution with
+/// [`BackendSolution::from_cut`], sorts canonically, keeps the first `limit`,
+/// and charges the pass's wall-clock time since `start` to the first
+/// solution (the rest keep zero), mirroring the MaxSAT pipeline's convention
+/// of charging setup to the first reported solution.
+pub(crate) fn ranked(
+    tree: &FaultTree,
+    cuts: impl IntoIterator<Item = CutSet>,
+    engine: &str,
+    limit: Option<usize>,
+    start: Instant,
+) -> Vec<BackendSolution> {
+    let mut solutions: Vec<BackendSolution> = cuts
+        .into_iter()
+        .map(|cut| BackendSolution::from_cut(tree, cut, engine))
+        .collect();
+    canonical_sort(tree, &mut solutions);
+    if let Some(limit) = limit {
+        solutions.truncate(limit);
     }
+    if let Some(first) = solutions.first_mut() {
+        first.duration = start.elapsed();
+    }
+    solutions
 }
 
 #[cfg(test)]

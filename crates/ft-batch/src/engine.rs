@@ -25,10 +25,12 @@ pub struct BatchConfig {
     /// Minimal cut sets to enumerate per tree (at least 1; the first is the
     /// MPMCS).
     pub top_k: usize,
-    /// The MaxSAT strategy used for every tree. The default is the
-    /// deterministic core-guided OLL: parallelism then comes entirely from
-    /// the worker pool (one tree per thread), which keeps per-tree results
-    /// bit-identical for any worker count.
+    /// The MaxSAT algorithm handed to each tree's analyzer and recorded in
+    /// the report summary. Each row is a top-k enumeration, and every
+    /// enumeration runs the deterministic core-guided OLL session whatever
+    /// the choice, so parallelism comes entirely from the worker pool (one
+    /// tree per thread), which keeps per-tree results bit-identical for any
+    /// worker count.
     pub algorithm: AlgorithmChoice,
     /// The SAT decision heuristic used by the MaxSAT backend's solvers.
     pub branching: BranchingChoice,

@@ -5,11 +5,11 @@ use std::sync::Arc;
 use bdd_engine::VariableOrdering;
 use fault_tree::{CutSet, FaultTree};
 use ft_backend::{
-    backend_for_cached, config_fingerprint, exact_union_probability, AnalysisBackend,
-    AnalysisCache, BackendConfig, BackendKind, BackendSolution, Budget, CacheHandle, Cached,
-    CancelToken, QueryControl, QueryKind,
+    backend_for_cached, config_fingerprint, exact_union_probability, pull_solutions,
+    AnalysisBackend, AnalysisCache, BackendConfig, BackendKind, BackendSolution, Budget,
+    CacheHandle, Cached, CancelToken, QueryControl, QueryKind,
 };
-use mpmcs::{AlgorithmChoice, BranchingChoice, McsStream, MpmcsOptions, StreamStep};
+use mpmcs::{AlgorithmChoice, BranchingChoice, McsStream, MpmcsOptions};
 
 use crate::results::{
     ImportanceReport, ImportanceRow, SessionError, SolutionSet, SweepReport, Termination,
@@ -65,9 +65,15 @@ pub(crate) struct WarmState {
 /// With the (default) MaxSAT backend and no modular preprocessing, queries
 /// run through a **warm incremental session**: the tree is encoded once, the
 /// CDCL state persists across queries, and every query extends the proven
-/// prefix instead of starting over. Classical backends (BDD, MOCUS), the
-/// modular preprocessing pass, and explicit `linear-su` algorithm requests
-/// delegate to the corresponding [`AnalysisBackend`] per query.
+/// prefix instead of starting over. Classical backends (BDD, MOCUS) and the
+/// modular preprocessing pass delegate to the corresponding
+/// [`AnalysisBackend`] per query: one [`AnalysisBackend::enumerate`] call per
+/// enumeration query, bounded by the requested prefix and the query's
+/// budget. Every MaxSAT enumeration — warm or delegated — drains an
+/// [`McsStream`], so the algorithm choice only selects the solver of a
+/// single-MPMCS query: an explicit [`AlgorithmChoice::LinearSu`] request
+/// sends [`mpmcs`](Analyzer::mpmcs) to the engine, while its enumerations,
+/// streams and quantifications stay on the warm session.
 pub struct Analyzer {
     tree: Arc<FaultTree>,
     requested: BackendKind,
@@ -134,10 +140,12 @@ impl Analyzer {
         self
     }
 
-    /// Selects the MaxSAT strategy used by delegated single-shot queries
-    /// (warm-session enumeration always runs the deterministic core-guided
-    /// session; an explicit [`AlgorithmChoice::LinearSu`] request opts out of
-    /// the warm session entirely). Resets the warm state.
+    /// Selects the MaxSAT solver of single-MPMCS queries: an explicit
+    /// [`AlgorithmChoice::LinearSu`] request runs [`mpmcs`](Analyzer::mpmcs)
+    /// through the linear solver, and the other choices answer it from the
+    /// warm session (or the delegated engine). Every enumeration drains the
+    /// deterministic core-guided session whatever the choice. Resets the
+    /// warm state.
     pub fn algorithm(mut self, algorithm: AlgorithmChoice) -> Self {
         self.config.algorithm = algorithm;
         self.reset();
@@ -238,9 +246,7 @@ impl Analyzer {
     /// `true` when queries run through the warm incremental MaxSAT session
     /// (see the type-level docs for the exact conditions).
     pub fn uses_warm_session(&self) -> bool {
-        self.resolved_backend() == BackendKind::MaxSat
-            && !self.config.preprocess
-            && self.config.algorithm != AlgorithmChoice::LinearSu
+        self.resolved_backend() == BackendKind::MaxSat && !self.config.preprocess
     }
 
     /// The canonical solution prefix proven by the warm session so far
@@ -321,42 +327,23 @@ impl Analyzer {
             .warm
             .stream
             .get_or_insert_with(|| McsStream::open(Arc::clone(&self.tree), options));
-        stream.set_interrupt(Some(control.interrupt_hook()));
-        let mut stopped = None;
-        while target.is_none_or(|t| self.warm.cache.len() < t) && !self.warm.exhausted {
-            if let Some(cause) = control.stop_cause() {
-                stopped = Some(Termination::from(cause));
-                break;
+        let stopped = match pull_solutions(stream, &mut self.warm.cache, target, control) {
+            Ok(stopped) => stopped.map(Termination::from),
+            Err(mpmcs::MpmcsError::NoCutSet) => {
+                self.warm.no_cut_set = true;
+                self.warm.exhausted = true;
+                if let Some(handle) = &handle {
+                    handle.store_no_cut_set(&self.tree, QueryKind::AllMcs);
+                }
+                return Err(SessionError::NoCutSet);
             }
-            match stream.next_step() {
-                Ok(StreamStep::Solution(solution)) => {
-                    self.warm.cache.push(BackendSolution::from_mpmcs(solution));
-                }
-                Ok(StreamStep::Exhausted) => self.warm.exhausted = true,
-                Ok(StreamStep::Interrupted) => {
-                    stopped = Some(
-                        control
-                            .stop_cause()
-                            .map_or(Termination::Cancelled, Termination::from),
-                    );
-                    break;
-                }
-                Err(mpmcs::MpmcsError::NoCutSet) => {
-                    self.warm.no_cut_set = true;
-                    self.warm.exhausted = true;
-                    if let Some(handle) = &handle {
-                        handle.store_no_cut_set(&self.tree, QueryKind::AllMcs);
-                    }
-                    return Err(SessionError::NoCutSet);
-                }
-                Err(other) => return Err(other.into()),
-            }
-        }
-        stream.set_interrupt(None);
-        // The tie-group look-ahead may already have proven exhaustion (the
-        // last delivered group was closed by UNSAT, not by a costlier
-        // optimum) — fold that knowledge in so cap-boundary answers are
-        // labelled `Complete`, never conservatively truncated.
+            Err(other) => return Err(other.into()),
+        };
+        // The stream is exhausted when the pull drained it, or when the
+        // tie-group look-ahead already proved it (the last delivered group
+        // was closed by UNSAT, not by a costlier optimum) — fold that
+        // knowledge in so cap-boundary answers are labelled `Complete`,
+        // never conservatively truncated.
         if stream.is_exhausted() {
             self.warm.exhausted = true;
         }
@@ -371,7 +358,9 @@ impl Analyzer {
     }
 
     /// The Maximum Probability Minimal Cut Set — deterministically the
-    /// *canonical* optimum (smallest cut set among equal-probability ties).
+    /// *canonical* optimum (smallest cut set among equal-probability ties)
+    /// on the warm session; an explicit [`AlgorithmChoice::LinearSu`]
+    /// request and the delegated engines may return any tied optimum.
     ///
     /// # Errors
     ///
@@ -380,7 +369,7 @@ impl Analyzer {
     /// before the optimum was proven; engine errors otherwise.
     pub fn mpmcs(&mut self) -> Result<BackendSolution, SessionError> {
         let control = self.control();
-        if self.uses_warm_session() {
+        if self.uses_warm_session() && self.config.algorithm != AlgorithmChoice::LinearSu {
             // A fresh analyzer consults the shared cache before paying for
             // the encoding; a proven optimum is a complete, cacheable answer.
             if self.warm.cache.is_empty() && !self.warm.no_cut_set {
@@ -523,42 +512,27 @@ impl Analyzer {
                 solutions,
                 termination,
             })
-        } else if let (Some(t), None) = (target, self.budget.wall_limit()) {
-            // Bounded request without a deadline: delegate to the engine's
-            // own top-k, which may be far cheaper than a full enumeration
-            // (the modular preprocessing pass composes per-module top-k's).
-            if let Some(cause) = control.stop_cause() {
-                return Err(SessionError::Stopped(cause.into()));
-            }
-            // When the cap binds, probe one solution deeper so a cap that
-            // exactly matches the family size is labelled `Complete`, not
-            // conservatively truncated.
-            let request = if cap_constrains { t + 1 } else { t };
-            let tree = Arc::clone(&self.tree);
-            let mut solutions = self.ensure_engine().top_k(&tree, request)?;
-            let capped = cap_constrains && solutions.len() > t;
-            solutions.truncate(t);
-            Ok(SolutionSet {
-                solutions,
-                termination: if capped {
-                    Termination::SolutionCap
-                } else {
-                    Termination::Complete
-                },
-            })
         } else {
+            // One engine call: when the cap binds, probe one solution deeper
+            // so a cap that exactly matches the family size is labelled
+            // `Complete`, not conservatively truncated.
+            let request = target.map(|t| {
+                if cap_constrains {
+                    t.saturating_add(1)
+                } else {
+                    t
+                }
+            });
             let tree = Arc::clone(&self.tree);
-            let enumerated = self.ensure_engine().all_mcs_under(&tree, &control)?;
-            let total = enumerated.solutions.len();
+            let enumerated = self.ensure_engine().enumerate(&tree, request, &control)?;
             let mut solutions = enumerated.solutions;
+            let capped = cap_constrains && target.is_some_and(|t| solutions.len() > t);
             if let Some(t) = target {
                 solutions.truncate(t);
             }
             let termination = match enumerated.stopped {
                 Some(cause) => Termination::from(cause),
-                None if cap_constrains && target.is_some_and(|t| total > t) => {
-                    Termination::SolutionCap
-                }
+                None if capped => Termination::SolutionCap,
                 None => Termination::Complete,
             };
             Ok(SolutionSet {

@@ -1,7 +1,7 @@
 //! Lazy solution streaming — see [`SolutionStream`].
 
-use ft_backend::{BackendSolution, QueryControl};
-use mpmcs::{McsStream, StreamStep};
+use ft_backend::{pull_solutions, BackendSolution, QueryControl};
+use mpmcs::McsStream;
 
 use crate::analyzer::Analyzer;
 use crate::results::{SessionError, Termination};
@@ -12,9 +12,10 @@ enum Source {
     /// memory stays bounded by the current equal-cost tie group, and
     /// stopping the stream stops the SAT engine.
     Live(Box<McsStream>),
-    /// A delegated engine (BDD, MOCUS, preprocessing, explicit linear-su):
-    /// these compute the whole family before any solution is known, so the
-    /// stream iterates an eagerly collected, canonical answer.
+    /// A delegated engine (BDD, MOCUS, preprocessing):
+    /// one budgeted [`enumerate`](ft_backend::AnalysisBackend::enumerate)
+    /// call up to one past the cap, so the stream iterates an eagerly
+    /// collected, canonical answer.
     Collected(std::vec::IntoIter<BackendSolution>),
     /// The delegated computation failed (or was stopped) before producing
     /// anything; the error is delivered once.
@@ -68,13 +69,15 @@ impl SolutionStream {
         let control = analyzer.control();
         let cap = analyzer.query_budget().max_solutions_limit();
         let source = if analyzer.uses_warm_session() {
-            let mut live = McsStream::open(analyzer.shared_tree(), analyzer.mpmcs_options());
-            live.set_interrupt(Some(control.interrupt_hook()));
+            let live = McsStream::open(analyzer.shared_tree(), analyzer.mpmcs_options());
             Source::Live(Box::new(live))
         } else {
+            // The cap probe: one solution past the cap tells a cap-sized
+            // family (complete) from a truncated one.
+            let limit = cap.map(|cap| cap.saturating_add(1));
             match analyzer
                 .build_backend()
-                .all_mcs_under(analyzer.tree(), &control)
+                .enumerate(analyzer.tree(), limit, &control)
             {
                 Ok(enumerated) => {
                     if let Some(cause) = enumerated.stopped {
@@ -166,27 +169,22 @@ impl Iterator for SolutionStream {
                 }
             },
             Source::Live(live) => {
-                if let Some(cause) = self.control.stop_cause() {
-                    self.termination = Some(Termination::from(cause));
-                    return None;
-                }
-                match live.next_step() {
-                    Ok(StreamStep::Solution(solution)) => {
-                        self.delivered += 1;
-                        Some(Ok(BackendSolution::from_mpmcs(solution)))
-                    }
-                    Ok(StreamStep::Exhausted) => {
-                        self.termination = Some(Termination::Complete);
+                let mut next = Vec::with_capacity(1);
+                match pull_solutions(live, &mut next, Some(1), &self.control) {
+                    Ok(Some(cause)) => {
+                        self.termination = Some(Termination::from(cause));
                         None
                     }
-                    Ok(StreamStep::Interrupted) => {
-                        self.termination = Some(
-                            self.control
-                                .stop_cause()
-                                .map_or(Termination::Cancelled, Termination::from),
-                        );
-                        None
-                    }
+                    Ok(None) => match next.pop() {
+                        Some(solution) => {
+                            self.delivered += 1;
+                            Some(Ok(solution))
+                        }
+                        None => {
+                            self.termination = Some(Termination::Complete);
+                            None
+                        }
+                    },
                     Err(error) => {
                         self.termination = Some(Termination::Failed);
                         Some(Err(error.into()))

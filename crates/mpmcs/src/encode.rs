@@ -186,8 +186,8 @@ impl MpmcsEncoding {
 
     /// The hard *blocking clause* excluding every model that contains all
     /// events of `cut` (the clause demands at least one event to be absent).
-    /// The incremental enumeration pushes this clause into its live solver
-    /// session; [`MpmcsEncoding::block_cut`] adds it to the instance instead.
+    /// An [`McsStream`](crate::McsStream) pushes this clause into its live
+    /// solver session after each reported cut set.
     pub fn blocking_clause(&self, cut: &CutSet) -> Vec<Lit> {
         cut.iter()
             .map(|e| {
@@ -198,15 +198,6 @@ impl MpmcsEncoding {
                 }
             })
             .collect()
-    }
-
-    /// Adds a hard *blocking clause* excluding every model that contains all
-    /// events of `cut`. Used by the from-scratch top-k / all-MCS enumeration:
-    /// once a minimal cut set has been reported, neither it nor any superset
-    /// can be reported again.
-    pub fn block_cut(&mut self, cut: &CutSet) {
-        let clause = self.blocking_clause(cut);
-        self.instance.add_hard(clause);
     }
 }
 

@@ -47,6 +47,7 @@
 mod encode;
 mod enumerate;
 mod error;
+#[cfg(test)]
 mod pathset;
 mod report;
 mod solver;
@@ -56,7 +57,6 @@ pub mod verify;
 pub use encode::{EncodingStyle, MpmcsEncoding, WeightScale};
 pub use enumerate::EnumerationLimit;
 pub use error::MpmcsError;
-pub use pathset::PathSetSolution;
 pub use report::{MpmcsReport, ReportEvent, SolverStatsReport};
 pub use sat_solver::BranchingChoice;
 pub use solver::{AlgorithmChoice, MpmcsOptions, MpmcsSolution, MpmcsSolver};

@@ -14,7 +14,9 @@ use crate::encode::{EncodingStyle, MpmcsEncoding, WeightScale};
 use crate::error::MpmcsError;
 use crate::verify;
 
-/// Which MaxSAT strategy to use for Step 5.
+/// Which MaxSAT solver a single MPMCS [`solve`](MpmcsSolver::solve) uses
+/// (paper Step 5). Enumeration always drains the core-guided OLL session of
+/// an [`McsStream`](crate::McsStream), whatever the choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum AlgorithmChoice {
     /// The parallel portfolio of heterogeneous solvers (the paper's design).
@@ -40,7 +42,8 @@ impl AlgorithmChoice {
 /// Options controlling the MPMCS pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct MpmcsOptions {
-    /// The MaxSAT strategy (paper Step 5).
+    /// The MaxSAT solver of a single MPMCS (paper Step 5; see
+    /// [`AlgorithmChoice`]).
     pub algorithm: AlgorithmChoice,
     /// The hard-clause encoding style (paper Step 1).
     pub encoding: EncodingStyle,
@@ -48,20 +51,6 @@ pub struct MpmcsOptions {
     pub scale: WeightScale,
     /// Verify every answer against the fault tree (cheap, enabled by default).
     pub verify: bool,
-    /// Drive enumeration (`solve_top_k` / `enumerate` / `enumerate_above`)
-    /// through one persistent incremental solver session: the tree is encoded
-    /// once and blocking clauses are pushed into the live session, which
-    /// keeps learnt clauses, activities and phases across cut sets. Disable
-    /// to fall back to the historical from-scratch pipeline per cut set
-    /// (used as the baseline by the E11 study and the equivalence tests).
-    /// An explicit [`AlgorithmChoice::LinearSu`] request also keeps the
-    /// from-scratch pipeline — the linear algorithm's permanent unit bound
-    /// assertions have no incremental counterpart. The other algorithm
-    /// choices enumerate through the deterministic core-guided OLL session,
-    /// so per-cut-set reports carry the `"oll"` algorithm tag rather than a
-    /// portfolio race's: incremental reuse and a wall-clock race over fresh
-    /// solvers are mutually exclusive by construction.
-    pub incremental: bool,
     /// The branching heuristic driving every underlying SAT solver's
     /// decisions (VSIDS by default; see
     /// [`BranchingChoice`](sat_solver::BranchingChoice)).
@@ -70,22 +59,21 @@ pub struct MpmcsOptions {
 
 impl MpmcsOptions {
     /// The default options: core-guided OLL, direct encoding, default
-    /// weight scale, verification enabled, incremental enumeration.
+    /// weight scale, verification enabled.
     pub fn new() -> Self {
         MpmcsOptions {
             algorithm: AlgorithmChoice::Oll,
             encoding: EncodingStyle::Direct,
             scale: WeightScale::default(),
             verify: true,
-            incremental: true,
             branching: BranchingChoice::Vsids,
         }
     }
 
     /// The configuration of every OLL run these options start: one-shot
-    /// [`AlgorithmChoice::Oll`] solves, collected incremental enumeration and
-    /// [`McsStream`](crate::McsStream) sessions alike, so all three honour
-    /// the configured branching heuristic.
+    /// [`AlgorithmChoice::Oll`] solves and the [`McsStream`](crate::McsStream)
+    /// session every enumeration drains, so both honour the configured
+    /// branching heuristic.
     pub(crate) fn oll_config(&self) -> OllConfig {
         OllConfig {
             sat_config: SolverConfig {
@@ -174,18 +162,8 @@ impl MpmcsSolver {
     ///   invariant is violated (indicates a bug).
     pub fn solve(&self, tree: &FaultTree) -> Result<MpmcsSolution, MpmcsError> {
         let encoding = self.encode(tree);
-        self.solve_encoded(tree, &encoding)
-    }
-
-    /// Solves an already-encoded instance (used by the enumeration API, which
-    /// adds blocking clauses to a shared encoding).
-    pub(crate) fn solve_encoded(
-        &self,
-        tree: &FaultTree,
-        encoding: &MpmcsEncoding,
-    ) -> Result<MpmcsSolution, MpmcsError> {
         let start = Instant::now();
-        let result = self.run_maxsat(encoding);
+        let result = self.run_maxsat(&encoding);
         let duration = start.elapsed();
         match result.outcome {
             MaxSatOutcome::Unsatisfiable => Err(MpmcsError::NoCutSet),

@@ -1,14 +1,13 @@
 //! Pull-based minimal-cut-set streaming — see [`McsStream`].
 //!
-//! The collected enumeration API ([`MpmcsSolver::enumerate`]) materialises a
-//! `Vec` of every requested cut set before returning. Long-running service
-//! workloads need the opposite shape: a lazy stream that pulls **one cut set
-//! at a time** from the live incremental CDCL session, so that memory stays
+//! The stream is the crate's one enumeration loop: it pulls **one cut set at
+//! a time** from a live incremental CDCL session, so that memory stays
 //! bounded, consumers can stop early, and budget/cancellation probes can cut
-//! a query short while keeping the already-delivered prefix valid.
+//! a query short while keeping the already-delivered prefix valid. The
+//! collected API ([`MpmcsSolver::enumerate`]) drains it into a `Vec`.
 //!
-//! The stream yields the exact canonical enumeration order of the collected
-//! path (exact integer scaled cost, then cut set). Successive optima leave
+//! The stream yields the canonical enumeration order (exact integer scaled
+//! cost, then cut set). Successive optima leave
 //! the MaxSAT session in non-decreasing cost order but *within* an
 //! equal-cost tie group their arrival order depends on solver internals, so
 //! the stream buffers one tie group at a time: a group is yielded (sorted by
@@ -22,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use fault_tree::FaultTree;
 use maxsat_solver::{IncrementalMaxSat, MaxSatOutcome};
-use sat_solver::InterruptHook;
+use sat_solver::{InterruptHook, SolverStats};
 
 use crate::encode::MpmcsEncoding;
 use crate::error::MpmcsError;
@@ -55,13 +54,11 @@ pub enum StreamStep {
 ///
 /// Opened by [`MpmcsSolver::stream`]. The tree is Tseitin-encoded once, one
 /// [`IncrementalMaxSat`] session is kept alive, and each delivered cut set
-/// pushes its blocking clause into the session — exactly the collected
-/// incremental pipeline, reshaped as a pull-based iterator. The sequence of
-/// delivered solutions is identical to
+/// pushes its blocking clause into the session. The canonical order is
+/// solver-independent, so a prefix of any length equals the first entries of
 /// [`MpmcsSolver::enumerate`](MpmcsSolver::enumerate) with
-/// [`EnumerationLimit::All`](crate::EnumerationLimit) (modulo wall-clock
-/// timings): the canonical order is solver-independent, so prefixes of any
-/// length agree with the collected run.
+/// [`EnumerationLimit::All`](crate::EnumerationLimit), which drains this
+/// stream.
 ///
 /// ```rust
 /// use std::sync::Arc;
@@ -91,7 +88,7 @@ pub struct McsStream {
     exhausted: bool,
     verify: bool,
     /// Encoding + session construction time, charged to the first discovered
-    /// solution (the collected pipeline's convention).
+    /// solution.
     setup: Duration,
     delivered: usize,
 }
@@ -109,13 +106,12 @@ impl std::fmt::Debug for McsStream {
 
 impl MpmcsSolver {
     /// Opens a lazy [`McsStream`] over `tree`: minimal cut sets are pulled
-    /// one at a time from a live incremental session, in the canonical
-    /// enumeration order of the collected API.
+    /// one at a time from a live incremental session, in canonical
+    /// enumeration order.
     ///
-    /// Streams always run through the deterministic core-guided session (the
-    /// same one collected enumeration uses); an explicit
-    /// [`AlgorithmChoice::LinearSu`](crate::AlgorithmChoice) request has no
-    /// streaming counterpart and is ignored here. The
+    /// Streams always run through the deterministic core-guided session; the
+    /// [`algorithm`](MpmcsOptions::algorithm) option selects the solver of a
+    /// single [`solve`](MpmcsSolver::solve) only and is ignored here. The
     /// [`verify`](MpmcsOptions::verify), [`encoding`](MpmcsOptions::encoding),
     /// [`scale`](MpmcsOptions::scale) and
     /// [`branching`](MpmcsOptions::branching) options are honoured.
@@ -130,8 +126,6 @@ impl McsStream {
     pub fn open(tree: Arc<FaultTree>, options: MpmcsOptions) -> McsStream {
         let setup_start = Instant::now();
         let encoding = MpmcsEncoding::with_style(&tree, options.encoding, options.scale);
-        // The same OLL configuration the collected incremental path uses —
-        // this is what makes streamed and collected runs byte-identical.
         let session = IncrementalMaxSat::owned(encoding.instance().clone(), options.oll_config());
         McsStream {
             tree,
@@ -175,6 +169,13 @@ impl McsStream {
     /// issued SAT calls proportional to `n`, not `N`.
     pub fn sat_calls(&self) -> u64 {
         self.session.solver_stats().solve_calls
+    }
+
+    /// Cumulative SAT-solver counters of the underlying session, look-ahead
+    /// optima included: the work behind every step so far, not only behind
+    /// the delivered solutions.
+    pub fn solver_stats(&self) -> SolverStats {
+        self.session.solver_stats()
     }
 
     /// Exact integer scaled cost of a solution (the canonical ordering key).
@@ -259,8 +260,8 @@ impl McsStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EnumerationLimit;
     use fault_tree::examples::{fire_protection_system, pressure_tank_system};
+    use fault_tree::{CutSet, EventId};
 
     fn drain(stream: &mut McsStream) -> Vec<MpmcsSolution> {
         let mut out = Vec::new();
@@ -273,28 +274,55 @@ mod tests {
         }
     }
 
+    /// Every minimal cut set of a small tree, collected by brute force over
+    /// all event subsets and sorted into the canonical order (exact scaled
+    /// cost, then cut set): a reference that shares nothing with the SAT
+    /// layers but the weight scale.
+    fn brute_force_family(tree: &FaultTree) -> Vec<CutSet> {
+        let weights = MpmcsEncoding::new(tree).scaled_weights().to_vec();
+        let n = tree.num_events();
+        let mut family: Vec<CutSet> = (0u32..1 << n)
+            .map(|mask| {
+                (0..n)
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .map(EventId::from_index)
+                    .collect::<CutSet>()
+            })
+            .filter(|cut| tree.is_minimal_cut_set(cut))
+            .collect();
+        family.sort_by_cached_key(|cut| {
+            let cost: u64 = cut.iter().map(|e| weights[e.index()]).sum();
+            (cost, cut.clone())
+        });
+        family
+    }
+
     #[test]
     fn streamed_solutions_match_the_collected_enumeration() {
         for tree in [fire_protection_system(), pressure_tank_system()] {
-            let solver = MpmcsSolver::new();
-            let collected = solver
-                .enumerate(&tree, EnumerationLimit::All)
-                .expect("solvable");
-            let mut stream = solver.stream(Arc::new(tree));
+            let expected = brute_force_family(&tree);
+            let encoding = MpmcsEncoding::new(&tree);
+            let mut stream = MpmcsSolver::new().stream(Arc::new(tree));
             let streamed = drain(&mut stream);
-            assert_eq!(streamed.len(), collected.len());
-            for (s, c) in streamed.iter().zip(&collected) {
-                assert_eq!(s.cut_set, c.cut_set);
-                assert_eq!(s.log_weight.to_bits(), c.log_weight.to_bits());
-                assert_eq!(s.probability.to_bits(), c.probability.to_bits());
+            assert_eq!(
+                streamed
+                    .iter()
+                    .map(|s| s.cut_set.clone())
+                    .collect::<Vec<_>>(),
+                expected
+            );
+            for solution in &streamed {
+                let (log_weight, probability) = encoding.cut_probability(&solution.cut_set);
+                assert_eq!(solution.log_weight.to_bits(), log_weight.to_bits());
+                assert_eq!(solution.probability.to_bits(), probability.to_bits());
             }
             assert!(stream.is_exhausted());
         }
     }
 
-    /// The stream's session is configured from the same options as the
-    /// collected path's, branching heuristic included: under random
-    /// branching both report identical per-solution solver statistics.
+    /// The stream's session is configured from the solver options, branching
+    /// heuristic included: under random branching its first optimum carries
+    /// exactly the statistics of a one-shot solve under the same options.
     #[test]
     fn streams_honour_the_branching_heuristic() {
         use ft_generators::Family;
@@ -305,30 +333,21 @@ mod tests {
             branching: BranchingChoice::Random,
             ..MpmcsOptions::new()
         });
-        let collected = solver.solve_top_k(&tree, 3).expect("solvable");
+        let one_shot = solver.solve(&tree).expect("solvable");
         let mut stream = solver.stream(Arc::new(tree));
-        for expected in &collected {
-            let StreamStep::Solution(streamed) = stream.next_step().expect("solvable") else {
-                panic!("the stream ended before the collected top-k");
-            };
-            assert_eq!(streamed.cut_set, expected.cut_set);
-            assert_eq!(streamed.stats, expected.stats);
-        }
+        let StreamStep::Solution(first) = stream.next_step().expect("solvable") else {
+            panic!("the stream ended before its first optimum");
+        };
+        assert_eq!(first.cut_set, one_shot.cut_set);
+        assert_eq!(first.stats, one_shot.stats);
     }
 
+    /// The builder cannot express a tree without cut sets, so this pins the
+    /// other half of the contract: an exhausted stream keeps reporting
+    /// `Exhausted` (the `NoCutSet` error is reserved for cut-set-free trees).
     #[test]
     fn stream_on_a_tree_without_cut_sets_reports_no_cut_set() {
         use fault_tree::FaultTreeBuilder;
-        // A lone probability-zero event still has the cut set {event}; build
-        // an unsatisfiable structure instead: AND of an event with itself is
-        // satisfiable, so use a voting gate demanding 2 of 1 inputs... the
-        // builder rejects that. The canonical no-cut-set tree in this
-        // workspace is the one whose SAT encoding is unsatisfiable — an AND
-        // gate over an empty OR is not constructible either, so emulate the
-        // collected API's error path with the paper tree and a pre-blocked
-        // session instead: exhausting the stream then asking again stays
-        // `Exhausted` (the error is reserved for genuinely cut-set-free
-        // trees, matching `MpmcsSolver::enumerate`).
         let mut b = FaultTreeBuilder::new("single");
         let only = b.basic_event("only", 0.25).unwrap();
         let tree = Arc::new(b.build(only.into()).unwrap());

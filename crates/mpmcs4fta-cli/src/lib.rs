@@ -128,10 +128,15 @@ OPTIONS:
                                 modules, solve the pieces separately and
                                 compose (shrinks encodings for every backend;
                                 per-cut-set solver stats become aggregates)
-    --algorithm <NAME>          portfolio | oll | linear-su
-                                (maxsat backend only; default: oll, which is
-                                deterministic, in single-tree and batch mode;
-                                portfolio races the paper's solver line-up)
+    --algorithm <NAME>          portfolio | oll | linear-su — the MaxSAT
+                                solver of single-MPMCS solves that do not
+                                run on the warm OLL session (--preprocess,
+                                linear-su, and the path-set and dot
+                                analyses); portfolio races the paper's
+                                solver line-up there. Every enumeration
+                                (--top-k, --all, batch rows) runs the OLL
+                                session (maxsat backend only; default: oll,
+                                which is deterministic)
     --branching <NAME>          vsids (default) | random — the SAT decision
                                 heuristic of the MaxSAT backend's solvers
                                 (maxsat backend only; random is a baseline
@@ -139,7 +144,11 @@ OPTIONS:
     --analysis <NAME>           mpmcs (default) | path-set | importance | modules |
                                 stability | dot | ascii   (single-tree modes only)
     --top-k <N>                 Report the N most probable minimal cut sets
-                                (per tree in batch mode)
+                                (per tree in batch mode). Ties are broken
+                                canonically, so a tie group straddling rank
+                                N is enumerated whole first: wide voting
+                                gates over identical components can take
+                                long (--timeout-ms bounds the run)
     --all                       Report every minimal cut set (single-tree only)
     --stats                     Include detailed solver statistics (conflicts,
                                 propagations, restarts, learnt-clause reuse
@@ -317,8 +326,9 @@ pub struct CliOptions {
     pub mode: CliMode,
     /// Which analysis to run (single-tree modes).
     pub analysis: AnalysisKind,
-    /// Which MaxSAT strategy to use (`None` = the default, deterministic
-    /// OLL).
+    /// Which MaxSAT solver single-MPMCS solves off the warm session use
+    /// (`None` = the default, deterministic OLL); enumerations always run
+    /// the OLL session.
     pub algorithm: Option<AlgorithmChoice>,
     /// Which SAT decision heuristic the MaxSAT backend's solvers use
     /// (default: VSIDS).
@@ -1084,18 +1094,17 @@ fn query_analyzer(
 }
 
 /// Compares the two backends' answers of a `--cross-check` run; `Some`
-/// describes the first mismatch. Positions must agree on probability; a
-/// different cut set at a position is tolerated only as an equal-probability
-/// tie where both sides report a verified minimal cut set — which covers the
-/// two places correct engines may legitimately differ: the single-MPMCS
-/// query (any tied optimum is valid) and a top-k boundary straddled by a tie
-/// group (the MaxSAT path keeps discovery order there by design, the
-/// classical backends pick canonically). Full enumerations are canonically
-/// ordered on both sides, so for them this degenerates to exact equality.
+/// describes the first mismatch. Positions must agree on probability and on
+/// the cut set: every engine enumerates in the canonical order, so `--top-k`
+/// and `--all` answers are equal at every rank. Only the single-MPMCS query
+/// (`tie_allowed`) tolerates a different cut set, as an equal-probability tie
+/// where both sides report a verified minimal cut set — a one-shot solver may
+/// return any tied optimum.
 fn cross_check_mismatch(
     tree: &FaultTree,
     primary: &[BackendSolution],
     secondary: &[BackendSolution],
+    tie_allowed: bool,
 ) -> Option<String> {
     if primary.len() != secondary.len() {
         return Some(format!(
@@ -1125,7 +1134,9 @@ fn cross_check_mismatch(
             ));
         }
         if a.cut_set != b.cut_set {
-            let tie = tree.is_minimal_cut_set(&a.cut_set) && tree.is_minimal_cut_set(&b.cut_set);
+            let tie = tie_allowed
+                && tree.is_minimal_cut_set(&a.cut_set)
+                && tree.is_minimal_cut_set(&b.cut_set);
             if !tie {
                 return Some(format!(
                     "cut sets differ at rank {}: {} vs {}",
@@ -1317,7 +1328,8 @@ fn run_mpmcs(options: &CliOptions, tree: &FaultTree) -> Result<RunOutput, CliErr
     let (reference_solutions, _) = query_analyzer(&mut reference, options)?;
     let reference_elapsed = start.elapsed();
 
-    if let Some(mismatch) = cross_check_mismatch(&tree, &solutions, &reference_solutions) {
+    let single = !options.all && options.top_k.is_none();
+    if let Some(mismatch) = cross_check_mismatch(&tree, &solutions, &reference_solutions, single) {
         return Err(CliError::Analysis(format!(
             "cross-check mismatch between {} and {}: {mismatch}",
             primary_kind.name(),
@@ -1369,18 +1381,22 @@ fn run_mpmcs(options: &CliOptions, tree: &FaultTree) -> Result<RunOutput, CliErr
     })
 }
 
+/// `--analysis path-set`: the minimal path sets of `tree` are the minimal
+/// cut sets of its success tree, whose event probabilities are the component
+/// reliabilities and whose event indices are the original ones.
 fn run_path_set(options: &CliOptions, tree: &FaultTree) -> Result<(String, String), CliError> {
     let solver = MpmcsSolver::with_options(MpmcsOptions {
         algorithm: options.algorithm.unwrap_or_default(),
         branching: options.branching,
         ..MpmcsOptions::new()
     });
+    let dual = fault_tree::transform::success_tree(tree);
     let solutions = if options.all {
-        solver.enumerate_path_sets(tree, EnumerationLimit::All)?
+        solver.enumerate(&dual, EnumerationLimit::All)?
     } else if let Some(k) = options.top_k {
-        solver.enumerate_path_sets(tree, EnumerationLimit::AtMost(k))?
+        solver.solve_top_k(&dual, k)?
     } else {
-        vec![solver.solve_max_reliability_path_set(tree)?]
+        vec![solver.solve(&dual)?]
     };
     let json = serde_json::to_string_pretty(
         &solutions
@@ -1388,7 +1404,7 @@ fn run_path_set(options: &CliOptions, tree: &FaultTree) -> Result<(String, Strin
             .map(|solution| {
                 serde_json::json!({
                     "events": solution.event_names(tree),
-                    "reliability": solution.reliability,
+                    "reliability": solution.probability,
                     "log_weight": solution.log_weight,
                     "algorithm": solution.algorithm,
                 })
@@ -1401,8 +1417,8 @@ fn run_path_set(options: &CliOptions, tree: &FaultTree) -> Result<(String, Strin
         summary.push_str(&format!(
             "#{}: {} reliability={:.6}\n",
             rank + 1,
-            solution.path_set.display_names(tree),
-            solution.reliability
+            solution.cut_set.display_names(tree),
+            solution.probability
         ));
     }
     Ok((json, summary))
@@ -2058,6 +2074,56 @@ mod tests {
             "the primary backend's report rides along"
         );
         assert!(summary.contains("identical minimal cut sets"));
+    }
+
+    /// Ties straddling a top-k boundary are broken canonically by every
+    /// route, so `--cross-check` compares enumerations exactly: on an OR of
+    /// eight equally probable events, the modular route reports the ZBDD's
+    /// {e0}, {e1}. Only the single-MPMCS query still accepts a tied optimum.
+    #[test]
+    fn cross_check_compares_top_k_ties_exactly() {
+        let path = std::env::temp_dir().join("mpmcs4fta_cli_or8.dft");
+        let mut model = String::from("toplevel top;\ntop or e0 e1 e2 e3 e4 e5 e6 e7;\n");
+        for i in 0..8 {
+            model.push_str(&format!("e{i} prob=0.1;\n"));
+        }
+        fs::write(&path, model).unwrap();
+        let options = parse_args([
+            path.to_str().unwrap(),
+            "--top-k",
+            "2",
+            "--preprocess",
+            "--cross-check",
+        ])
+        .unwrap();
+        let (json, summary) = run(&options).unwrap();
+        let CliMode::Single(input) = &options.mode else {
+            panic!("a model file is a single-tree mode");
+        };
+        let tree = load_tree(input).unwrap();
+        let _ = fs::remove_file(&path);
+        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed["cross_check"]["match"].as_bool(), Some(true));
+        let names: Vec<&str> = parsed["report"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|row| row["mpmcs"][0]["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(names, vec!["e0", "e1"]);
+        assert!(summary.contains("identical minimal cut sets"));
+
+        let single = |name: &str| {
+            let event = tree.event_by_name(name).unwrap();
+            vec![BackendSolution::from_cut(
+                &tree,
+                fault_tree::CutSet::from_iter([event]),
+                "test",
+            )]
+        };
+        let (primary, secondary) = (single("e0"), single("e1"));
+        assert!(cross_check_mismatch(&tree, &primary, &secondary, false).is_some());
+        assert!(cross_check_mismatch(&tree, &primary, &secondary, true).is_none());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use bdd_engine::{compile_fault_tree, VariableOrdering};
 use fault_tree::examples::water_treatment_scada;
+use fault_tree::transform::success_tree;
 use ft_analysis::importance::ImportanceTable;
 use ft_analysis::mocus::Mocus;
 use mpmcs::{EnumerationLimit, MpmcsSolver};
@@ -50,24 +51,27 @@ fn main() {
     println!("\nimportance measures (sorted by criticality):");
     print!("{}", table.render(&tree));
 
-    // 3. The cheapest set of components that, kept working, keeps the plant up.
+    // 3. The cheapest set of components that, kept working, keeps the plant
+    //    up: the minimal path sets are the minimal cut sets of the success
+    //    tree, priced with the component reliabilities.
+    let success = success_tree(&tree);
     let path = solver
-        .solve_max_reliability_path_set(&tree)
+        .solve(&success)
         .expect("the SCADA tree has path sets");
     println!(
         "\nmaximum-reliability defence core: {} (survival probability {:.4})",
-        path.path_set.display_names(&tree),
-        path.reliability
+        path.cut_set.display_names(&tree),
+        path.probability
     );
     println!("all minimal defence cores, by reliability:");
     for solution in solver
-        .enumerate_path_sets(&tree, EnumerationLimit::AtMost(5))
+        .enumerate(&success, EnumerationLimit::AtMost(5))
         .expect("path sets exist")
     {
         println!(
             "  {:<60} r = {:.4}",
-            solution.path_set.display_names(&tree),
-            solution.reliability
+            solution.cut_set.display_names(&tree),
+            solution.probability
         );
     }
 }

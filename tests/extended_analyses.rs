@@ -7,6 +7,7 @@ use bdd_engine::{compile_fault_tree, VariableOrdering, ZbddAnalysis};
 use fault_tree::examples::{
     aircraft_hydraulic_system, all_examples, fire_protection_system, water_treatment_scada,
 };
+use fault_tree::transform::success_tree;
 use fault_tree::FaultTree;
 use ft_analysis::brute;
 use ft_analysis::ccf::{apply_beta_factor, CcfGroup};
@@ -80,18 +81,18 @@ fn maxsat_path_sets_agree_with_the_mocus_dual_on_the_examples() {
     let solver = MpmcsSolver::new();
     for (name, tree) in all_examples() {
         let via_maxsat = solver
-            .solve_max_reliability_path_set(&tree)
+            .solve(&success_tree(&tree))
             .expect("examples have path sets");
         let (_, best_reliability) = maximum_reliability_path_set(&tree)
             .expect("within budget")
             .expect("examples have path sets");
         assert!(
-            (via_maxsat.reliability - best_reliability).abs() < 1e-9,
+            (via_maxsat.probability - best_reliability).abs() < 1e-9,
             "{name}: {} vs {}",
-            via_maxsat.reliability,
+            via_maxsat.probability,
             best_reliability
         );
-        assert!(is_minimal_path_set(&tree, &via_maxsat.path_set), "{name}");
+        assert!(is_minimal_path_set(&tree, &via_maxsat.cut_set), "{name}");
     }
 }
 

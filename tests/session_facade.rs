@@ -4,38 +4,12 @@
 //! must stop queries deterministically (a stopped stream's prefix equals the
 //! unbudgeted run's prefix).
 
-use std::fs;
-use std::path::{Path, PathBuf};
+mod common;
 
-use fault_tree::parser::{galileo, json};
-use fault_tree::FaultTree;
+use common::bundled_trees;
+
 use ft_backend::{backend_for, BackendConfig, BackendError, BackendKind};
 use ft_session::{AnalysisService, Analyzer, Budget, CancelToken, SessionError, Termination};
-
-fn bundled_trees() -> Vec<(String, FaultTree)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/trees");
-    let mut paths: Vec<PathBuf> = fs::read_dir(&dir)
-        .expect("examples/trees/ ships with the repository")
-        .map(|entry| entry.expect("readable directory entry").path())
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "examples/trees/ must not be empty");
-    paths
-        .into_iter()
-        .map(|path| {
-            let text = fs::read_to_string(&path).expect("readable model file");
-            let tree = if path.extension().and_then(|e| e.to_str()) == Some("json") {
-                json::from_json_str(&text).expect("valid JSON model")
-            } else {
-                galileo::parse_galileo(&text).expect("valid Galileo model")
-            };
-            (
-                path.file_name().unwrap().to_string_lossy().into_owned(),
-                tree,
-            )
-        })
-        .collect()
-}
 
 /// Byte-level comparison key of a solution: the cut set plus the exact bit
 /// patterns of its probability and log weight.
@@ -317,30 +291,43 @@ fn exact_cap_boundaries_are_labelled_complete_on_every_path() {
     }
 }
 
-/// An explicit linear-SAT–UNSAT request is honoured by every facade query —
-/// the enumeration must not be silently rerouted to the OLL session.
+/// The algorithm choice selects the solver of the single MPMCS only: a
+/// linear-SAT–UNSAT request labels `mpmcs()`, while enumerations run on the
+/// warm OLL session like every other MaxSAT enumeration.
 #[test]
-fn linear_su_requests_keep_the_linear_algorithm_on_all_queries() {
+fn linear_su_labels_the_mpmcs_and_enumerations_run_oll() {
     let tree = fault_tree::examples::fire_protection_system();
-    let mut analyzer = Analyzer::for_tree(tree).algorithm(ft_session::AlgorithmChoice::LinearSu);
-    assert!(!analyzer.uses_warm_session());
-    let all = analyzer.all_mcs().expect("solvable");
-    assert_eq!(all.solutions.len(), 5);
+    let mut analyzer =
+        Analyzer::for_tree(tree.clone()).algorithm(ft_session::AlgorithmChoice::LinearSu);
+    let mut default = Analyzer::for_tree(tree);
+    assert!(analyzer.uses_warm_session());
+    // The algorithm choice selects the solver of the single MPMCS, which
+    // leaves the warm session untouched...
+    let best = analyzer.mpmcs().expect("solvable");
     assert!(
-        all.solutions
-            .iter()
-            .all(|s| s.algorithm.starts_with("linear-su")),
-        "{:?}",
-        all.solutions
-            .iter()
-            .map(|s| s.algorithm.clone())
-            .collect::<Vec<_>>()
+        best.algorithm.starts_with("linear-su"),
+        "{}",
+        best.algorithm
     );
+    assert_eq!(analyzer.warm_prefix_len(), 0);
+    // ...while every enumeration extends the warm session and answers
+    // exactly what the default analyzer answers.
+    let all = analyzer.all_mcs().expect("solvable");
+    let expected = default.all_mcs().expect("solvable");
+    assert_eq!(all.solutions.len(), 5);
+    assert_eq!(
+        all.solutions.iter().map(key).collect::<Vec<_>>(),
+        expected.solutions.iter().map(key).collect::<Vec<_>>()
+    );
+    assert!(all.solutions.iter().all(|s| s.algorithm == "oll"));
+    assert_eq!(analyzer.warm_prefix_len(), 5);
     let top = analyzer.top_k(2).expect("solvable");
-    assert!(top
-        .solutions
-        .iter()
-        .all(|s| s.algorithm.starts_with("linear-su")));
+    let expected = default.top_k(2).expect("solvable");
+    assert_eq!(
+        top.solutions.iter().map(key).collect::<Vec<_>>(),
+        expected.solutions.iter().map(key).collect::<Vec<_>>()
+    );
+    assert!(top.solutions.iter().all(|s| s.algorithm == "oll"));
 }
 
 /// The thread-safe service: N threads hammering one `AnalysisService` get

@@ -10,12 +10,13 @@
 //! `Analyzer::importance`, which requantifies one compiled ROBDD, against
 //! the oracle that compiles every conditioned tree afresh.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::bundled_trees;
+
 use std::sync::Arc;
 
 use bdd_engine::{compile_fault_tree, VariableOrdering};
-use fault_tree::parser::{galileo, json};
 use fault_tree::{BasicEvent, CutSet, FailureModel, FaultTree, Probability};
 use ft_analysis::importance::ImportanceTable;
 use ft_backend::{backend_for, AnalysisCache, BackendConfig, BackendKind};
@@ -27,31 +28,6 @@ const BACKENDS: [BackendKind; 3] = [BackendKind::MaxSat, BackendKind::Bdd, Backe
 /// A short mission-time grid spanning both sides of the default mission
 /// time (where the base probabilities live).
 const GRID: [f64; 5] = [0.0, 0.25, 1.0, 1.75, 3.0];
-
-fn bundled_trees() -> Vec<(String, FaultTree)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/trees");
-    let mut paths: Vec<PathBuf> = fs::read_dir(&dir)
-        .expect("examples/trees/ ships with the repository")
-        .map(|entry| entry.expect("readable directory entry").path())
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "examples/trees/ must not be empty");
-    paths
-        .into_iter()
-        .map(|path| {
-            let text = fs::read_to_string(&path).expect("readable model file");
-            let tree = if path.extension().and_then(|e| e.to_str()) == Some("json") {
-                json::from_json_str(&text).expect("valid JSON model")
-            } else {
-                galileo::parse_galileo(&text).expect("valid Galileo model")
-            };
-            (
-                path.file_name().unwrap().to_string_lossy().into_owned(),
-                tree,
-            )
-        })
-        .collect()
-}
 
 /// Attaches a failure model to every event, cycling through the three laws,
 /// with rates derived from the event's stored probability so the base
