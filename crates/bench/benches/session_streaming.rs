@@ -1,7 +1,8 @@
 //! E13 — the session facade's lazy stream versus the collected path: a
-//! streamed prefix pulls `prefix (+1 look-ahead)` optima from the live CDCL
-//! session, while the collected leg runs a deeper top-k query. Both run
-//! through `ft_session::Analyzer` and deliver identical prefixes.
+//! streamed prefix pulls `prefix` optima from the live CDCL session (plus
+//! one bounded SAT call that closes the last tie group), while the
+//! collected leg runs a deeper top-k query. Both run through
+//! `ft_session::Analyzer` and deliver identical prefixes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

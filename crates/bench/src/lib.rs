@@ -1059,9 +1059,9 @@ serde::impl_serde_struct!(HotPathRow {
 /// `(leg, family, target_nodes, ns_per_prop)`. Absolute numbers shift with
 /// the host CPU, which is why [`hot_path_snapshot`] records both sides of
 /// the comparison instead of only the ratio. The grid has no `top-k` rows:
-/// that leg now also runs the look-ahead optimum that closes the `k`-th tie
-/// group, a workload the seed capture (which stopped at the `k`-th optimum)
-/// never measured.
+/// that leg also proves the `k`-th tie group closed (one bounded SAT call
+/// after the group's last optimum), work the seed capture (which stopped at
+/// the `k`-th optimum) never measured.
 pub const HOT_PATH_SEED_BASELINE: &[(&str, &str, usize, f64)] = &[
     ("raw-cdcl", "random-mixed", 250, 109.84),
     ("raw-cdcl", "random-mixed", 500, 87.42),
@@ -1204,8 +1204,8 @@ pub fn hot_path_rows(
             }
             let wall = start.elapsed();
             // The session's cumulative counters cover all the timed work,
-            // including the look-ahead optimum that closes the k-th tie
-            // group, so ns/prop stays a rate over what the wall clock saw.
+            // including the bounded SAT call that closes the k-th tie group,
+            // so ns/prop stays a rate over what the wall clock saw.
             let stats = stream.solver_stats();
             rows.push(hot_path_row(
                 "top-k",

@@ -67,9 +67,9 @@ impl MaxSatBackend {
 /// call and polled between pulls, since buffered tie-group members are
 /// delivered without a SAT call.
 ///
-/// Returns the stop cause when the control cut the pull short;
-/// [`McsStream::is_exhausted`] tells a finished family from a reached
-/// target.
+/// Returns the stop cause when the control cut the pull short. A drained
+/// stream is [exhausted](McsStream::is_exhausted); whether a reached target
+/// also ended the family takes [`McsStream::has_more`].
 ///
 /// # Errors
 ///

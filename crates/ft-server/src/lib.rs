@@ -543,6 +543,23 @@ mod tests {
         assert!(capped.text().contains("\"truncated\": true"));
         assert!(capped.text().contains("\"termination\": \"solution-cap\""));
 
+        // A stream capped at exactly the family size is complete, one below
+        // it truncated: the trailers carry the collected query's labels.
+        for (cap, termination) in [(5, "complete"), (4, "solution-cap")] {
+            write!(
+                socket,
+                "GET /trees/{hash}/all-mcs?stream=true&max-solutions={cap} HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            .unwrap();
+            let streamed = http::read_response(&mut reader).unwrap();
+            assert_eq!(streamed.status, 200);
+            assert_eq!(streamed.trailer("x-termination"), Some(termination));
+            assert_eq!(
+                streamed.trailer("x-delivered"),
+                Some(cap.to_string().as_str())
+            );
+        }
+
         // Single-solution stream uses the bare-object shape.
         write!(
             socket,

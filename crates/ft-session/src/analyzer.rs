@@ -14,7 +14,7 @@ use mpmcs::{AlgorithmChoice, BranchingChoice, McsStream, MpmcsOptions};
 use crate::results::{
     ImportanceReport, ImportanceRow, SessionError, SolutionSet, SweepReport, Termination,
 };
-use crate::stream::SolutionStream;
+use crate::stream::{capped_termination, SolutionStream};
 
 /// The warm per-analyzer solver state of the incremental MaxSAT engine: one
 /// live enumeration session plus the canonical solution prefix it has proven
@@ -339,22 +339,47 @@ impl Analyzer {
             }
             Err(other) => return Err(other.into()),
         };
-        // The stream is exhausted when the pull drained it, or when the
-        // tie-group look-ahead already proved it (the last delivered group
-        // was closed by UNSAT, not by a costlier optimum) — fold that
-        // knowledge in so cap-boundary answers are labelled `Complete`,
-        // never conservatively truncated.
+        // The stream is exhausted when the pull drained it, or when the call
+        // that closed the last delivered group found the hard clauses
+        // unsatisfiable. A group closed by a core proves nothing either way;
+        // `warm_continuation` settles that case where an answer depends on
+        // it.
         if stream.is_exhausted() {
             self.warm.exhausted = true;
-        }
-        // Deposit the family once the enumeration is exhausted — and only
-        // then: a budget-truncated prefix must never poison the cache.
-        if self.warm.exhausted && stopped.is_none() {
-            if let Some(handle) = &handle {
-                handle.store_solutions(&self.tree, QueryKind::AllMcs, &self.warm.cache);
+            // Deposit the family once the enumeration is exhausted — and
+            // only then: a budget-truncated prefix must never poison the
+            // cache.
+            if stopped.is_none() {
+                self.deposit_family();
             }
         }
         Ok(stopped)
+    }
+
+    /// Deposits the exhausted warm family in the shared cache, if any.
+    fn deposit_family(&self) {
+        if let Some(handle) = self.warm_cache_handle() {
+            handle.store_solutions(&self.tree, QueryKind::AllMcs, &self.warm.cache);
+        }
+    }
+
+    /// Whether the warm family continues past the delivered prefix, as the
+    /// label a binding cap gives the answer: `SolutionCap` when another
+    /// minimal cut set exists, `Complete` when the prefix is the whole
+    /// family, the stop cause when `control` fires first. The warm stream
+    /// decides with at most one more optimum; a proven exhaustion is
+    /// recorded, and the family deposited, as after an exhausting pull.
+    fn warm_continuation(&mut self, control: &QueryControl) -> Result<Termination, SessionError> {
+        let Some(stream) = self.warm.stream.as_mut() else {
+            // Nothing was pulled (a zero target): the family continues.
+            return Ok(Termination::SolutionCap);
+        };
+        let termination = capped_termination(stream, control)?;
+        if stream.is_exhausted() {
+            self.warm.exhausted = true;
+            self.deposit_family();
+        }
+        Ok(termination)
     }
 
     /// The Maximum Probability Minimal Cut Set — deterministically the
@@ -474,39 +499,43 @@ impl Analyzer {
                 }
             }
             let stopped = self.extend_prefix(target, &control)?;
-            // A prefix that reached its target without a budget stop is the
-            // *complete* answer to that top-`target` query, cacheable even
-            // though the family enumeration is still open. (Exhausted
-            // families are already deposited under `AllMcs`.)
-            if stopped.is_none() && !self.warm.exhausted {
-                if let Some(t) = target {
-                    if self.warm.cache.len() >= t {
-                        if let Some(handle) = self.warm_cache_handle() {
-                            handle.store_solutions(
-                                &self.tree,
-                                QueryKind::TopK(t),
-                                &self.warm.cache[..t],
-                            );
-                        }
-                    }
+            let len = self.warm.cache.len();
+            let delivered = target.map_or(len, |t| t.min(len));
+            let solutions = self.warm.cache[..delivered].to_vec();
+            if let Some(termination) = stopped {
+                return Ok(SolutionSet {
+                    solutions,
+                    termination,
+                });
+            }
+            // Whether the family continues past the answer (`SolutionCap`)
+            // or ends with it (`Complete`), settled only where it matters: a
+            // binding cap labels the answer by it, and a shared cache takes
+            // a top-`target` prefix only from a continuing family, because a
+            // capped hit replays the entry as `SolutionCap`. (A cache-restored
+            // or previously exhausted family can outgrow a binding cap.)
+            let beyond = if len > delivered {
+                Termination::SolutionCap
+            } else if self.warm.exhausted {
+                Termination::Complete
+            } else if cap_constrains || self.cache.is_some() {
+                self.warm_continuation(&control)?
+            } else {
+                Termination::Complete
+            };
+            // The prefix is the complete answer to that top-`target` query,
+            // cacheable although the family enumeration is still open.
+            // (Exhausted families are deposited under `AllMcs` instead.)
+            if beyond == Termination::SolutionCap && !self.warm.exhausted {
+                if let (Some(t), Some(handle)) = (target, self.warm_cache_handle()) {
+                    handle.store_solutions(&self.tree, QueryKind::TopK(t), &self.warm.cache[..t]);
                 }
             }
-            let delivered = target.map_or(self.warm.cache.len(), |t| t.min(self.warm.cache.len()));
-            let solutions = self.warm.cache[..delivered].to_vec();
-            let termination = match stopped {
-                Some(cause) => cause,
-                // A cache-restored (or previously exhausted) family can be
-                // larger than a binding cap: the cap still truncates.
-                None if cap_constrains && self.warm.cache.len() > delivered => {
-                    Termination::SolutionCap
-                }
-                None if self.warm.exhausted => Termination::Complete,
-                // Not exhausted means the tie-group look-ahead has already
-                // proven a costlier solution beyond the prefix, so a binding
-                // cap really did truncate; a satisfied `top_k(k)` request is
-                // complete by definition.
-                None if cap_constrains => Termination::SolutionCap,
-                None => Termination::Complete,
+            // A satisfied `top_k(k)` request is complete by definition.
+            let termination = if cap_constrains {
+                beyond
+            } else {
+                Termination::Complete
             };
             Ok(SolutionSet {
                 solutions,

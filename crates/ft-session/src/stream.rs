@@ -1,7 +1,7 @@
 //! Lazy solution streaming — see [`SolutionStream`].
 
 use ft_backend::{pull_solutions, BackendSolution, QueryControl};
-use mpmcs::McsStream;
+use mpmcs::{McsStream, MpmcsError};
 
 use crate::analyzer::Analyzer;
 use crate::results::{SessionError, Termination};
@@ -139,18 +139,20 @@ impl Iterator for SolutionStream {
             return None;
         }
         if self.cap.is_some_and(|cap| self.delivered >= cap) {
-            // The cap ended the stream; when the family happens to be
-            // exactly cap-sized the live session already knows.
-            let complete = match &self.source {
-                Source::Live(live) => live.is_exhausted(),
-                Source::Collected(rest) => rest.len() == 0,
-                Source::Failed(_) => false,
+            // The cap ended the stream: one solution past it tells a
+            // truncated family from an exactly cap-sized one.
+            let termination = match &mut self.source {
+                Source::Live(live) => match capped_termination(live, &self.control) {
+                    Ok(termination) => termination,
+                    Err(error) => {
+                        self.termination = Some(Termination::Failed);
+                        return Some(Err(error.into()));
+                    }
+                },
+                Source::Collected(rest) if rest.len() == 0 => Termination::Complete,
+                Source::Collected(_) | Source::Failed(_) => Termination::SolutionCap,
             };
-            self.termination = Some(if complete {
-                Termination::Complete
-            } else {
-                Termination::SolutionCap
-            });
+            self.termination = Some(termination);
             return None;
         }
         match &mut self.source {
@@ -193,4 +195,30 @@ impl Iterator for SolutionStream {
             }
         }
     }
+}
+
+/// The label of an answer that filled its binding solution cap while `live`
+/// is still open: [`Termination::SolutionCap`] when another minimal cut set
+/// exists beyond the delivered prefix (buffered, or proven by one more
+/// optimum solved under `control`), [`Termination::Complete`] when the
+/// session proves the family exactly cap-sized, and the stop cause when
+/// `control` fires before the proof. A zero cap truncates every family, so
+/// an empty prefix solves nothing.
+pub(crate) fn capped_termination(
+    live: &mut McsStream,
+    control: &QueryControl,
+) -> Result<Termination, MpmcsError> {
+    if live.delivered() == 0 {
+        return Ok(Termination::SolutionCap);
+    }
+    live.set_interrupt(Some(control.interrupt_hook()));
+    let more = live.has_more();
+    live.set_interrupt(None);
+    Ok(match more? {
+        Some(true) => Termination::SolutionCap,
+        Some(false) => Termination::Complete,
+        None => control
+            .stop_cause()
+            .map_or(Termination::Cancelled, Termination::from),
+    })
 }

@@ -7,7 +7,10 @@
 //! saved phase the previous query paid for. [`IncrementalMaxSat`] keeps one
 //! [`Session`] alive instead: hard clauses may be added **between optima**,
 //! and each [`IncrementalMaxSat::solve`] call resumes the core-guided OLL
-//! search from the accumulated state.
+//! search from the accumulated state. A bounded call
+//! ([`IncrementalMaxSat::solve_within`]) stops as soon as the lower bound
+//! passes a given cost, which proves that no model at that cost remains
+//! without paying for the next optimum.
 //!
 //! The soundness argument, the session-compaction safety valve and a
 //! runnable example live on the [`IncrementalMaxSat`] type itself.
@@ -39,6 +42,23 @@ use crate::result::{MaxSatOutcome, MaxSatResult, MaxSatStats};
 /// from-scratch solve, the historical behaviour).
 const COMPACTION_CORE_BUDGET: u64 = 64;
 
+/// How one [`IncrementalMaxSat::solve_within`] call ended.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BoundedSolve {
+    /// The call completed: an optimum costing at most the bound, or
+    /// unsatisfiable hard clauses.
+    Solved(MaxSatResult),
+    /// The lower bound rose above the bound before any model was found, so
+    /// every remaining model costs more. The cores behind the bound stay
+    /// folded in and the call's counters carry into the next call, which
+    /// resumes the search exactly where this one stopped.
+    AboveBound,
+    /// The [interrupt hook](IncrementalMaxSat::set_interrupt) fired first;
+    /// like [`AboveBound`](BoundedSolve::AboveBound), the next call resumes
+    /// the search and reports this call's work.
+    Interrupted,
+}
+
 /// A persistent incremental MaxSAT handle: one solver session shared by a
 /// sequence of optima, with hard clauses accepted between
 /// [`solve`](IncrementalMaxSat::solve) calls.
@@ -60,6 +80,13 @@ const COMPACTION_CORE_BUDGET: u64 = 64;
 /// rebuilds the solver from the original instance plus all added hard
 /// clauses — which restores exactly the from-scratch behaviour for that
 /// query while keeping every answer and all cumulative statistics intact.
+///
+/// A call that ends before it completes — interrupted, or a bounded call
+/// stopped above its bound — hands its per-call counters (the compaction
+/// budget's core count included) to the next call. The result that finally
+/// completes the search therefore reports the SAT calls, cores and solver
+/// work of the whole search, and splitting a search into bounded steps
+/// issues exactly the SAT calls of one unbounded call.
 ///
 /// ```rust
 /// use maxsat_solver::{IncrementalMaxSat, MaxSatOutcome, WcnfInstance};
@@ -109,6 +136,9 @@ pub struct IncrementalMaxSat<'a> {
     /// *accumulation*: never on a session's first call, and at most once per
     /// call (the flag rearms when a call completes).
     compaction_allowed: bool,
+    /// The counters of a call that ended before completing (interrupted, or
+    /// stopped above its bound), resumed by the next call.
+    suspended: Option<MaxSatStats>,
     calls: u64,
     /// The cancellation probe forwarded into the SAT search loop (and
     /// re-installed after a compaction rebuilds the solver).
@@ -158,6 +188,7 @@ impl<'a> IncrementalMaxSat<'a> {
             retired: SolverStats::default(),
             checkpoint: SolverStats::default(),
             compaction_allowed: false,
+            suspended: None,
             calls: 0,
             interrupt: None,
         }
@@ -165,9 +196,10 @@ impl<'a> IncrementalMaxSat<'a> {
 
     /// Installs (or clears) the cancellation probe polled by the underlying
     /// SAT search loop. When the probe fires, the current
-    /// [`solve_with_stop`](IncrementalMaxSat::solve_with_stop) call returns
-    /// `None`; the session state stays consistent, so a later call resumes
-    /// the search.
+    /// [`solve_within`](IncrementalMaxSat::solve_within) call returns
+    /// [`BoundedSolve::Interrupted`]; the session state stays consistent, so
+    /// a later call resumes the search and reports the interrupted call's
+    /// work.
     pub fn set_interrupt(&mut self, hook: Option<InterruptHook>) {
         self.session.set_interrupt(hook.clone());
         self.interrupt = hook;
@@ -211,31 +243,54 @@ impl<'a> IncrementalMaxSat<'a> {
     ///
     /// Panics if an installed [interrupt hook](IncrementalMaxSat::set_interrupt)
     /// fires mid-call; interruptible consumers use
-    /// [`IncrementalMaxSat::try_solve`] instead.
+    /// [`IncrementalMaxSat::solve_within`] instead.
     pub fn solve(&mut self) -> MaxSatResult {
-        self.try_solve()
-            .expect("solve cannot be interrupted without a stop request")
-    }
-
-    /// Like [`IncrementalMaxSat::solve`], but returns `None` when the
-    /// [interrupt hook](IncrementalMaxSat::set_interrupt) fired before a
-    /// proven optimum was found. The session state stays consistent, so a
-    /// later call picks the search up again.
-    pub fn try_solve(&mut self) -> Option<MaxSatResult> {
         self.solve_with_stop(&AtomicBool::new(false))
+            .expect("solve cannot be interrupted without a stop request")
     }
 
     /// Like [`IncrementalMaxSat::solve`], checking `stop` between SAT calls;
     /// returns `None` if the flag was raised first. The session state stays
-    /// consistent, so a later call can pick the search up again.
+    /// consistent, so a later call can pick the search up again and reports
+    /// this call's work.
     pub fn solve_with_stop(&mut self, stop: &AtomicBool) -> Option<MaxSatResult> {
-        let mut stats = MaxSatStats {
+        match self.run(stop, u64::MAX) {
+            BoundedSolve::Solved(result) => Some(result),
+            BoundedSolve::Interrupted => None,
+            BoundedSolve::AboveBound => unreachable!("no lower bound exceeds u64::MAX"),
+        }
+    }
+
+    /// Solves for an optimum costing at most `bound`: stops with
+    /// [`BoundedSolve::AboveBound`] once the lower bound exceeds it, and with
+    /// [`BoundedSolve::Interrupted`] when the
+    /// [interrupt hook](IncrementalMaxSat::set_interrupt) fires. A bound of
+    /// `u64::MAX` bounds nothing.
+    ///
+    /// Every model the core-guided search finds costs exactly the current
+    /// lower bound, so when that bound already equals `bound` (right after
+    /// an optimum of that cost) one SAT call decides: it finds another model
+    /// at `bound`, or its core lifts the bound above it. Nothing is lost by
+    /// stopping there — the next call resumes with the same SAT call an
+    /// unbounded call would have issued next.
+    pub fn solve_within(&mut self, bound: u64) -> BoundedSolve {
+        self.run(&AtomicBool::new(false), bound)
+    }
+
+    /// The OLL loop shared by every solve entry point: stops above
+    /// `max_cost`, or when `stop` or the interrupt hook fires, parking the
+    /// call's counters for the next call.
+    fn run(&mut self, stop: &AtomicBool, max_cost: u64) -> BoundedSolve {
+        let mut stats = self.suspended.take().unwrap_or_else(|| MaxSatStats {
             algorithm: "oll".to_string(),
             ..MaxSatStats::default()
-        };
-        loop {
+        });
+        let early_end = loop {
+            if self.lower_bound > max_cost {
+                break BoundedSolve::AboveBound;
+            }
             if stop.load(Ordering::Relaxed) {
-                return None;
+                break BoundedSolve::Interrupted;
             }
             let assumptions: Vec<Lit> = self.weights.keys().copied().collect();
             stats.sat_calls += 1;
@@ -253,7 +308,7 @@ impl<'a> IncrementalMaxSat<'a> {
                     );
                     stats.lower_bound = self.lower_bound;
                     stats.upper_bound = cost;
-                    return Some(self.finish_call(
+                    return BoundedSolve::Solved(self.finish_call(
                         stats,
                         MaxSatOutcome::Optimum {
                             model: model_vec,
@@ -261,11 +316,13 @@ impl<'a> IncrementalMaxSat<'a> {
                         },
                     ));
                 }
-                SolveResult::Interrupted => return None,
+                SolveResult::Interrupted => break BoundedSolve::Interrupted,
                 SolveResult::Unsat => {
                     let core: Vec<Lit> = self.session.unsat_core().to_vec();
                     if core.is_empty() {
-                        return Some(self.finish_call(stats, MaxSatOutcome::Unsatisfiable));
+                        return BoundedSolve::Solved(
+                            self.finish_call(stats, MaxSatOutcome::Unsatisfiable),
+                        );
                     }
                     stats.cores += 1;
                     if self.compaction_allowed && stats.cores >= COMPACTION_CORE_BUDGET {
@@ -307,7 +364,9 @@ impl<'a> IncrementalMaxSat<'a> {
                     }
                 }
             }
-        }
+        };
+        self.suspended = Some(stats);
+        early_end
     }
 
     /// Retires the current solver and rebuilds the reformulation state from
@@ -455,6 +514,54 @@ mod tests {
             session.solver_stats().solve_calls,
             first.stats.sat_calls + second.stats.sat_calls
         );
+    }
+
+    /// Splitting a search into bounded steps changes nothing a caller sees:
+    /// after each optimum, a call bounded by its cost finds the tie an
+    /// unbounded call would find, or stops above the bound — and then the
+    /// next call finishes the search with the very model and per-call
+    /// counters of one unbounded call.
+    #[test]
+    fn bounded_steps_replay_the_unbounded_search() {
+        let mut stops = 0;
+        for seed in 300..316 {
+            let inst = random_instance(seed, 6, 6, 6);
+            let block = |model: &[bool]| -> Vec<Lit> {
+                (0..inst.num_vars())
+                    .map(|i| Lit::new(Var::from_index(i), model[i]))
+                    .collect()
+            };
+            let mut plain = IncrementalMaxSat::new(&inst);
+            let mut stepped = IncrementalMaxSat::new(&inst);
+            let mut last_cost = None;
+            loop {
+                let expected = plain.solve();
+                let actual = match last_cost {
+                    None => stepped.solve(),
+                    Some(cost) => match stepped.solve_within(cost) {
+                        BoundedSolve::Solved(result) => result,
+                        BoundedSolve::AboveBound => {
+                            stops += 1;
+                            assert!(
+                                expected.outcome.cost().is_none_or(|next| next > cost),
+                                "seed {seed}: stopped above {cost} below the next optimum"
+                            );
+                            stepped.solve()
+                        }
+                        BoundedSolve::Interrupted => unreachable!("no interrupt installed"),
+                    },
+                };
+                assert_eq!(actual, expected, "seed {seed}");
+                let Some(model) = expected.outcome.model() else {
+                    break;
+                };
+                last_cost = expected.outcome.cost();
+                plain.add_hard(block(model));
+                stepped.add_hard(block(model));
+            }
+            assert_eq!(stepped.calls(), plain.calls(), "seed {seed}");
+        }
+        assert!(stops > 0, "some bounded call must stop above its bound");
     }
 
     /// Session compaction keeps answers and cumulative counters intact: a

@@ -65,7 +65,7 @@ pub mod wcnf;
 
 pub use encodings::gte::{GteBuilder, GteError};
 pub use encodings::totalizer::Totalizer;
-pub use incremental::IncrementalMaxSat;
+pub use incremental::{BoundedSolve, IncrementalMaxSat};
 pub use instance::{SoftClause, WcnfInstance};
 pub use linear::{LinearSuConfig, LinearSuSolver};
 pub use oll::{OllConfig, OllSolver};

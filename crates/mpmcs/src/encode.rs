@@ -137,6 +137,13 @@ impl MpmcsEncoding {
         &self.instance
     }
 
+    /// Moves the instance out, leaving an empty one behind, for a session
+    /// that owns it while the encoding keeps decoding models, pricing cut
+    /// sets and building blocking clauses.
+    pub(crate) fn take_instance(&mut self) -> WcnfInstance {
+        std::mem::take(&mut self.instance)
+    }
+
     /// The encoding style used.
     pub fn style(&self) -> EncodingStyle {
         self.style

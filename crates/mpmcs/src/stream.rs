@@ -10,17 +10,20 @@
 //! cost, then cut set). Successive optima leave
 //! the MaxSAT session in non-decreasing cost order but *within* an
 //! equal-cost tie group their arrival order depends on solver internals, so
-//! the stream buffers one tie group at a time: a group is yielded (sorted by
-//! cut set) only once the next, strictly costlier optimum — or exhaustion —
-//! proves the group complete. Memory is therefore bounded by the largest tie
-//! group plus one look-ahead solution, never by the total cut-set count.
+//! the stream buffers one tie group at a time and yields it (sorted by cut
+//! set) once the group is proven complete. The proof is one bounded MaxSAT
+//! call at the group's cost ([`IncrementalMaxSat::solve_within`]): it finds
+//! another tie, or lifts the lower bound above the group's cost, or finds
+//! the hard clauses exhausted. The next, costlier optimum is solved only
+//! when a consumer asks for it, and memory is bounded by the largest tie
+//! group, never by the total cut-set count.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fault_tree::FaultTree;
-use maxsat_solver::{IncrementalMaxSat, MaxSatOutcome};
+use maxsat_solver::{BoundedSolve, IncrementalMaxSat, MaxSatOutcome};
 use sat_solver::{InterruptHook, SolverStats};
 
 use crate::encode::MpmcsEncoding;
@@ -53,8 +56,12 @@ pub enum StreamStep {
 /// A lazy minimal-cut-set stream over one live incremental MaxSAT session.
 ///
 /// Opened by [`MpmcsSolver::stream`]. The tree is Tseitin-encoded once, one
-/// [`IncrementalMaxSat`] session is kept alive, and each delivered cut set
-/// pushes its blocking clause into the session. The canonical order is
+/// [`IncrementalMaxSat`] session is kept alive, and each discovered cut set
+/// pushes its blocking clause into the session. A tie group is released
+/// after one bounded SAT call proves it complete, so delivering the `k`-th
+/// solution never solves the optimum after its group; a drained stream
+/// issues the same SAT calls, in the same order, as solving every optimum
+/// back to back. The canonical order is
 /// solver-independent, so a prefix of any length equals the first entries of
 /// [`MpmcsSolver::enumerate`](MpmcsSolver::enumerate) with
 /// [`EnumerationLimit::All`](crate::EnumerationLimit), which drains this
@@ -87,9 +94,10 @@ pub struct McsStream {
     pending_cost: u64,
     exhausted: bool,
     verify: bool,
-    /// Encoding + session construction time, charged to the first discovered
-    /// solution.
-    setup: Duration,
+    /// Time not yet charged to a solution — the encoding and session
+    /// construction, then every session call that found none (group-closing
+    /// probes, interrupted calls) — charged to the next discovered solution.
+    uncharged: Duration,
     delivered: usize,
 }
 
@@ -125,8 +133,8 @@ impl McsStream {
     /// [`MpmcsSolver::stream`]).
     pub fn open(tree: Arc<FaultTree>, options: MpmcsOptions) -> McsStream {
         let setup_start = Instant::now();
-        let encoding = MpmcsEncoding::with_style(&tree, options.encoding, options.scale);
-        let session = IncrementalMaxSat::owned(encoding.instance().clone(), options.oll_config());
+        let mut encoding = MpmcsEncoding::with_style(&tree, options.encoding, options.scale);
+        let session = IncrementalMaxSat::owned(encoding.take_instance(), options.oll_config());
         McsStream {
             tree,
             encoding,
@@ -136,7 +144,7 @@ impl McsStream {
             pending_cost: 0,
             exhausted: false,
             verify: options.verify,
-            setup: setup_start.elapsed(),
+            uncharged: setup_start.elapsed(),
             delivered: 0,
         }
     }
@@ -159,7 +167,11 @@ impl McsStream {
         self.delivered
     }
 
-    /// `true` once every minimal cut set has been delivered.
+    /// `true` once every minimal cut set has been delivered and the session
+    /// has proven that no other exists. Closing the last group does not
+    /// always prove it (a core can close a group whether or not a costlier
+    /// cut set remains): [`has_more`](McsStream::has_more) settles the
+    /// question.
     pub fn is_exhausted(&self) -> bool {
         self.exhausted && self.ready.is_empty() && self.pending.is_empty()
     }
@@ -171,9 +183,9 @@ impl McsStream {
         self.session.solver_stats().solve_calls
     }
 
-    /// Cumulative SAT-solver counters of the underlying session, look-ahead
-    /// optima included: the work behind every step so far, not only behind
-    /// the delivered solutions.
+    /// Cumulative SAT-solver counters of the underlying session: the work
+    /// behind every step so far (group-closing probes and buffered optima
+    /// included), not only behind the delivered solutions.
     pub fn solver_stats(&self) -> SolverStats {
         self.session.solver_stats()
     }
@@ -210,50 +222,88 @@ impl McsStream {
             if self.exhausted {
                 return Ok(StreamStep::Exhausted);
             }
-            let start = Instant::now();
-            let Some(result) = self.session.try_solve() else {
+            if !self.advance()? {
                 return Ok(StreamStep::Interrupted);
-            };
-            let duration = start.elapsed() + std::mem::take(&mut self.setup);
-            match result.outcome {
-                MaxSatOutcome::Unsatisfiable => {
-                    self.exhausted = true;
-                    if self.delivered == 0 && self.pending.is_empty() {
-                        return Err(MpmcsError::NoCutSet);
-                    }
-                    self.close_pending_group();
-                }
-                MaxSatOutcome::Optimum { ref model, .. } => {
-                    let raw_cut = self.encoding.decode(model);
-                    let cut = verify::minimise(&self.tree, &raw_cut);
-                    let (log_weight, probability) = self.encoding.cut_probability(&cut);
-                    if self.verify {
-                        verify::check_solution(&self.tree, &cut, probability)?;
-                    }
-                    self.session.add_hard(self.encoding.blocking_clause(&cut));
-                    let solution = MpmcsSolution {
-                        cut_set: cut,
-                        probability,
-                        log_weight,
-                        algorithm: result.stats.algorithm.clone(),
-                        stats: result.stats,
-                        duration,
-                    };
-                    let cost = self.cost(&solution);
-                    if self.pending.is_empty() {
-                        self.pending_cost = cost;
-                        self.pending.push(solution);
-                    } else if cost == self.pending_cost {
-                        self.pending.push(solution);
-                    } else {
-                        debug_assert!(cost > self.pending_cost, "optima are non-decreasing");
-                        self.close_pending_group();
-                        self.pending_cost = cost;
-                        self.pending.push(solution);
-                    }
-                }
             }
         }
+    }
+
+    /// Whether another minimal cut set exists beyond those delivered:
+    /// `Some(true)` when one is buffered or one more optimum proves it,
+    /// `Some(false)` once the session proves the family exhausted, and
+    /// `None` when the [interrupt hook](McsStream::set_interrupt) fired
+    /// first. Delivers nothing: an optimum it solves waits for the next
+    /// [`next_step`](McsStream::next_step).
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`next_step`](McsStream::next_step).
+    pub fn has_more(&mut self) -> Result<Option<bool>, MpmcsError> {
+        loop {
+            if !self.ready.is_empty() || !self.pending.is_empty() {
+                return Ok(Some(true));
+            }
+            if self.exhausted {
+                return Ok(Some(false));
+            }
+            if !self.advance()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// Makes one session call and folds its outcome into the buffers: while
+    /// a tie group is pending, a call bounded by the group's cost that adds
+    /// a tie or closes the group; otherwise a call for the next optimum,
+    /// which opens a group. Returns `false` when the call was interrupted.
+    fn advance(&mut self) -> Result<bool, MpmcsError> {
+        let bound = if self.pending.is_empty() {
+            u64::MAX
+        } else {
+            self.pending_cost
+        };
+        let start = Instant::now();
+        let call = self.session.solve_within(bound);
+        self.uncharged += start.elapsed();
+        let result = match call {
+            BoundedSolve::Solved(result) => result,
+            BoundedSolve::AboveBound => {
+                self.close_pending_group();
+                return Ok(true);
+            }
+            BoundedSolve::Interrupted => return Ok(false),
+        };
+        let MaxSatOutcome::Optimum { ref model, .. } = result.outcome else {
+            self.exhausted = true;
+            if self.delivered == 0 && self.pending.is_empty() {
+                return Err(MpmcsError::NoCutSet);
+            }
+            self.close_pending_group();
+            return Ok(true);
+        };
+        let raw_cut = self.encoding.decode(model);
+        let cut = verify::minimise(&self.tree, &raw_cut);
+        let (log_weight, probability) = self.encoding.cut_probability(&cut);
+        if self.verify {
+            verify::check_solution(&self.tree, &cut, probability)?;
+        }
+        self.session.add_hard(self.encoding.blocking_clause(&cut));
+        let solution = MpmcsSolution {
+            cut_set: cut,
+            probability,
+            log_weight,
+            algorithm: result.stats.algorithm.clone(),
+            stats: result.stats,
+            duration: std::mem::take(&mut self.uncharged),
+        };
+        let cost = self.cost(&solution);
+        debug_assert!(
+            self.pending.is_empty() || cost == self.pending_cost,
+            "a call bounded by the pending group's cost finds only ties"
+        );
+        self.pending_cost = cost;
+        self.pending.push(solution);
+        Ok(true)
     }
 }
 
@@ -295,6 +345,23 @@ mod tests {
             (cost, cut.clone())
         });
         family
+    }
+
+    /// `{e, f}` (p = 0.04) then a six-way tie: every pair of a 2-of-4 vote
+    /// over identical events (p = 0.01 each).
+    fn tied_vote() -> FaultTree {
+        use fault_tree::FaultTreeBuilder;
+        let mut b = FaultTreeBuilder::new("tied-vote");
+        let voters: Vec<_> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|name| b.basic_event(*name, 0.1).unwrap().into())
+            .collect();
+        let vote = b.voting_gate("vote", 2, voters).unwrap();
+        let e = b.basic_event("e", 0.2).unwrap();
+        let f = b.basic_event("f", 0.2).unwrap();
+        let pair = b.and_gate("pair", [e.into(), f.into()]).unwrap();
+        let top = b.or_gate("top", [vote.into(), pair.into()]).unwrap();
+        b.build(top.into()).unwrap()
     }
 
     #[test]
@@ -425,6 +492,115 @@ mod tests {
         assert_eq!(rest.len(), expected.len());
         for (r, e) in rest.iter().zip(&expected) {
             assert_eq!(r.cut_set, e.cut_set);
+        }
+    }
+
+    /// Closing tie groups with bounded calls leaves a drained stream's work
+    /// unchanged: it returns the optima of a plain solve-and-block loop over
+    /// the same encoding, each with the same statistics (compared per tie
+    /// group, since the stream sorts a group by cut set).
+    #[test]
+    fn drained_streams_replay_a_plain_blocking_loop() {
+        use ft_generators::Family;
+
+        let trees = [
+            fire_protection_system(),
+            pressure_tank_system(),
+            tied_vote(),
+            Family::RandomMixed.generate(40, 2),
+        ];
+        for tree in trees {
+            let encoding = MpmcsEncoding::new(&tree);
+            let cost = |cut: &CutSet| -> u64 {
+                cut.iter()
+                    .map(|e| encoding.scaled_weights()[e.index()])
+                    .sum()
+            };
+            let mut session = IncrementalMaxSat::owned(
+                encoding.instance().clone(),
+                MpmcsOptions::new().oll_config(),
+            );
+            let mut expected = Vec::new();
+            loop {
+                let result = session.solve();
+                let MaxSatOutcome::Optimum { model, .. } = &result.outcome else {
+                    break;
+                };
+                let cut = verify::minimise(&tree, &encoding.decode(model));
+                session.add_hard(encoding.blocking_clause(&cut));
+                expected.push((cost(&cut), cut, result.stats));
+            }
+            expected.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+            let name = tree.name().to_string();
+            let mut stream = MpmcsSolver::new().stream(Arc::new(tree));
+            let streamed: Vec<_> = drain(&mut stream)
+                .into_iter()
+                .map(|s| (cost(&s.cut_set), s.cut_set, s.stats))
+                .collect();
+            assert_eq!(streamed, expected, "{name}");
+            assert_eq!(
+                stream.sat_calls(),
+                session.solver_stats().solve_calls,
+                "{name}"
+            );
+        }
+    }
+
+    /// The first answer costs its optimum plus one SAT call: the bounded
+    /// call that closes its tie group, never the next optimum.
+    #[test]
+    fn one_sat_call_closes_the_first_group() {
+        let mut stream = MpmcsSolver::new().stream(Arc::new(fire_protection_system()));
+        let StreamStep::Solution(first) = stream.next_step().expect("solvable") else {
+            panic!("the stream ended before its first optimum");
+        };
+        assert_eq!(stream.sat_calls(), first.stats.sat_calls + 1);
+    }
+
+    /// Every SAT call the session issues is reported by exactly one
+    /// solution: in discovery order (`session_calls`), each solution's
+    /// `sat_calls` is the growth of `session_calls` since the one before —
+    /// also when an interrupt splits a search, and when the calls of a
+    /// group-closing probe carry into the next optimum.
+    #[test]
+    fn solutions_account_for_every_sat_call() {
+        use ft_generators::Family;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        // (tree, solutions to pull, the interrupt-hook poll that fires)
+        let cases = [
+            (Family::RandomMixed.generate(1000, 3), 4, 10),
+            (tied_vote(), usize::MAX, 4),
+        ];
+        for (tree, prefix, firing_poll) in cases {
+            let name = tree.name().to_string();
+            let mut stream = MpmcsSolver::new().stream(Arc::new(tree));
+            let polls = Arc::new(AtomicU64::new(0));
+            let counter = Arc::clone(&polls);
+            stream.set_interrupt(Some(Arc::new(move || {
+                counter.fetch_add(1, Ordering::Relaxed) + 1 == firing_poll
+            })));
+            let mut solutions = Vec::new();
+            let mut interrupts = 0;
+            while solutions.len() < prefix {
+                match stream.next_step().expect("solvable") {
+                    StreamStep::Solution(solution) => solutions.push(solution),
+                    StreamStep::Interrupted => interrupts += 1,
+                    StreamStep::Exhausted => break,
+                }
+            }
+            assert_eq!(interrupts, 1, "{name}: the hook fires once");
+            solutions.sort_by_key(|s| s.stats.session_calls);
+            let mut previous = 0;
+            for solution in &solutions {
+                assert_eq!(
+                    solution.stats.sat_calls,
+                    solution.stats.session_calls - previous,
+                    "{name}: {}",
+                    solution.stats
+                );
+                previous = solution.stats.session_calls;
+            }
         }
     }
 }

@@ -123,8 +123,8 @@ fn streaming_is_byte_identical_to_collected_on_all_bundled_trees() {
 
 /// Early exit: a budget-capped stream of `n` solutions stops the SAT engine
 /// instead of enumerating the whole family, witnessed by the SAT-call
-/// counters; its storage is bounded by the current tie group plus one
-/// look-ahead solution, never the family size.
+/// counters; its storage is bounded by the current tie group, never the
+/// family size.
 #[test]
 fn capped_streams_exit_early_by_sat_call_count() {
     let (_, tree) = bundled_trees()
@@ -250,7 +250,7 @@ fn warm_sessions_extend_across_queries() {
 /// Truncation labelling is precise and consistent across engine paths: a
 /// solution cap that exactly matches the family size is `Complete` (exit 0),
 /// whether or not a deadline is also configured, for the warm session and
-/// the delegated engines alike.
+/// the delegated engines alike, collected or streamed.
 #[test]
 fn exact_cap_boundaries_are_labelled_complete_on_every_path() {
     let tree = fault_tree::examples::fire_protection_system(); // exactly 5 cut sets
@@ -287,6 +287,72 @@ fn exact_cap_boundaries_are_labelled_complete_on_every_path() {
                 Termination::SolutionCap,
                 "{kind}/deadline={with_deadline}"
             );
+            // Streams end with the same labels: a live one settles whether
+            // the family continues after its last delivery.
+            for (streaming, cap, expected) in [
+                (&analyzer, 5, Termination::Complete),
+                (&tight, 4, Termination::SolutionCap),
+            ] {
+                let mut stream = streaming.stream();
+                let delivered: Vec<_> = stream
+                    .by_ref()
+                    .map(|item| item.expect("solvable"))
+                    .collect();
+                assert_eq!(delivered.len(), cap, "{kind}/{with_deadline}");
+                assert_eq!(
+                    stream.termination(),
+                    Some(expected),
+                    "{kind}/deadline={with_deadline}: streamed cap {cap}"
+                );
+            }
+        }
+    }
+}
+
+/// A top-k prefix deposited in a shared cache replays with the labels of a
+/// cache-off query, at and around every exact cap boundary: the prefix
+/// enters the cache only once the family is known to continue past it,
+/// because a capped cache hit is labelled `SolutionCap`.
+#[test]
+fn cached_prefixes_keep_exact_cap_labels() {
+    use std::sync::Arc;
+
+    use ft_backend::{AnalysisCache, DEFAULT_CACHE_BYTES};
+
+    for (name, tree) in bundled_trees() {
+        let family = Analyzer::for_tree(tree.clone())
+            .all_mcs()
+            .expect("solvable")
+            .solutions
+            .len();
+        for k in 1..=family + 1 {
+            let capped = |cache: Option<&Arc<AnalysisCache>>| {
+                let mut analyzer =
+                    Analyzer::for_tree(tree.clone()).budget(Budget::unlimited().max_solutions(k));
+                if let Some(cache) = cache {
+                    analyzer = analyzer.cache(Arc::clone(cache));
+                }
+                analyzer.all_mcs().expect("solvable")
+            };
+            let cache = Arc::new(AnalysisCache::new(DEFAULT_CACHE_BYTES));
+            let top = Analyzer::for_tree(tree.clone())
+                .cache(Arc::clone(&cache))
+                .top_k(k)
+                .expect("solvable");
+            assert_eq!(top.termination, Termination::Complete, "{name}: top-{k}");
+            let expected = capped(None);
+            let replayed = capped(Some(&cache));
+            assert_eq!(
+                replayed.termination, expected.termination,
+                "{name}: cap {k}"
+            );
+            assert_eq!(replayed.solutions.len(), expected.solutions.len());
+            let exact = if k >= family {
+                Termination::Complete
+            } else {
+                Termination::SolutionCap
+            };
+            assert_eq!(expected.termination, exact, "{name}: cap {k}");
         }
     }
 }
