@@ -1153,9 +1153,9 @@ fn hot_path_enumerate(solver: &mut sat_solver::Solver, num_vars: usize, cap: usi
 /// Before any timing is trusted, [`assert_hot_path_equivalence`] proves the
 /// perf-motivated solver features cannot change answers: the top-k leg is
 /// re-run under random branching and must report identical cut sets, and a
-/// full model enumeration is re-run under aggressive inprocessing (interval
-/// 1, variable elimination on) plus random branching and must produce the
-/// identical projected model set.
+/// full model enumeration is re-run under aggressive inprocessing (a round
+/// before every enumeration step) plus random branching and must produce
+/// the identical projected model set.
 pub fn hot_path_rows(
     raw_sizes: &[usize],
     topk_sizes: &[usize],
@@ -1225,9 +1225,7 @@ pub fn hot_path_rows(
 /// divergence, so the study — and the CI smoke step running it — fails
 /// instead of publishing timings for a solver that changed answers.
 pub fn assert_hot_path_equivalence(seed: u64) {
-    use sat_solver::{
-        BranchingChoice, CnfFormula, InprocessConfig, SolveResult, Solver, SolverConfig,
-    };
+    use sat_solver::{BranchingChoice, CnfFormula, SolveResult, Solver, SolverConfig};
     use std::collections::BTreeSet;
 
     // Leg 1: top-k cut sets must not depend on the branching heuristic.
@@ -1250,14 +1248,14 @@ pub fn assert_hot_path_equivalence(seed: u64) {
     );
 
     // Leg 2: the full projected model set must survive aggressive
-    // inprocessing (every level-0 boundary, variable elimination on) plus
-    // random branching. The fire-protection example is small enough to
-    // enumerate to exhaustion.
+    // inprocessing (a round before every enumeration step) plus random
+    // branching. The fire-protection example is small enough to enumerate
+    // to exhaustion.
     let tree = fire_protection_system();
     let encoding = MpmcsSolver::new().encode(&tree);
     let instance = encoding.instance();
     let project = instance.num_vars().min(16);
-    let models_under = |config: SolverConfig| {
+    let models_under = |config: SolverConfig, inprocess_every_step: bool| {
         use sat_solver::{Lit, Var};
         let mut cnf = CnfFormula::with_vars(instance.num_vars());
         for clause in instance.hard_clauses() {
@@ -1266,7 +1264,13 @@ pub fn assert_hot_path_equivalence(seed: u64) {
         let mut solver = Solver::with_config(config);
         solver.add_cnf(&cnf);
         let mut models = BTreeSet::new();
-        while let SolveResult::Sat(model) = solver.solve() {
+        loop {
+            if inprocess_every_step {
+                solver.inprocess_now();
+            }
+            let SolveResult::Sat(model) = solver.solve() else {
+                break;
+            };
             let bits: Vec<bool> = (0..project)
                 .map(|i| model.value(Var::from_index(i)))
                 .collect();
@@ -1283,20 +1287,15 @@ pub fn assert_hot_path_equivalence(seed: u64) {
         }
         models
     };
-    let aggressive = SolverConfig {
+    let random = SolverConfig {
         branching: BranchingChoice::Random,
-        inprocess: InprocessConfig {
-            interval_conflicts: 1,
-            var_elim: true,
-            ..InprocessConfig::default()
-        },
         ..SolverConfig::default()
     };
-    let plain = models_under(SolverConfig::default());
+    let plain = models_under(SolverConfig::default(), false);
     assert!(!plain.is_empty(), "the example tree is satisfiable");
     assert_eq!(
         plain,
-        models_under(aggressive),
+        models_under(random, true),
         "projected model set diverged under aggressive inprocessing"
     );
 }

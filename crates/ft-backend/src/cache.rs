@@ -554,8 +554,8 @@ impl CacheHandle {
         )
     }
 
-    /// Consults the cache for the MPMCS query; mirrors
-    /// [`CacheHandle::solutions`].
+    /// Consults the cache for the MPMCS query; on a miss runs `solve` and
+    /// stores its answer, or the proof that the tree has no cut set.
     pub(crate) fn best(
         &self,
         tree: &FaultTree,

@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use fault_tree::{CutSet, FaultTree};
 use maxsat_solver::MaxSatStats;
-use mpmcs::{MpmcsReport, MpmcsSolution, ReportEvent, SolverStatsReport, WeightScale};
+use mpmcs::{MpmcsReport, MpmcsSolution, SolverStatsReport, WeightScale};
 
 /// One minimal cut set reported by an [`AnalysisBackend`](crate::AnalysisBackend),
 /// whichever engine produced it.
@@ -74,42 +74,18 @@ impl BackendSolution {
     /// attaches the detailed solver-statistics block when the engine
     /// provided one.
     pub fn to_report(&self, tree: &FaultTree, with_stats: bool) -> MpmcsReport {
+        let stats = self.stats.as_ref();
         MpmcsReport {
-            tree: tree.name().to_string(),
-            num_events: tree.num_events(),
-            num_gates: tree.num_gates(),
-            mpmcs: self
-                .cut_set
-                .iter()
-                .map(|e| {
-                    let event = tree.event(e);
-                    ReportEvent {
-                        name: event.name().to_string(),
-                        probability: event.probability().value(),
-                        log_weight: event.probability().log_weight().value(),
-                    }
-                })
-                .collect(),
-            probability: self.probability,
-            log_weight: self.log_weight,
-            algorithm: self.algorithm.clone(),
-            solve_time_ms: self.duration.as_secs_f64() * 1e3,
-            sat_calls: self.stats.as_ref().map_or(0, |s| s.sat_calls),
-            solver_stats: match (&self.stats, with_stats) {
-                (Some(stats), true) => Some(SolverStatsReport {
-                    sat_calls: stats.sat_calls,
-                    conflicts: stats.conflicts,
-                    propagations: stats.propagations,
-                    restarts: stats.restarts,
-                    learnt_reused: stats.learnt_reused,
-                    session_calls: stats.session_calls,
-                    inprocess_rounds: stats.inprocess_rounds,
-                    inprocess_strengthened: stats.inprocess_strengthened,
-                    inprocess_removed: stats.inprocess_removed,
-                    arena_compactions: stats.arena_compactions,
-                }),
-                _ => None,
-            },
+            solver_stats: stats.filter(|_| with_stats).map(SolverStatsReport::from),
+            ..MpmcsReport::for_answer(
+                tree,
+                &self.cut_set,
+                self.probability,
+                self.log_weight,
+                &self.algorithm,
+                self.duration,
+                stats,
+            )
         }
     }
 }

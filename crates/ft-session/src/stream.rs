@@ -16,7 +16,13 @@ enum Source {
     /// one budgeted [`enumerate`](ft_backend::AnalysisBackend::enumerate)
     /// call up to one past the cap, so the stream iterates an eagerly
     /// collected, canonical answer.
-    Collected(std::vec::IntoIter<BackendSolution>),
+    Collected {
+        /// The solutions not yet delivered.
+        rest: std::vec::IntoIter<BackendSolution>,
+        /// How the engine's call ended: [`Termination::Complete`], or the
+        /// cause that stopped it after proving the collected prefix.
+        end: Termination,
+    },
     /// The delegated computation failed (or was stopped) before producing
     /// anything; the error is delivered once.
     Failed(Option<SessionError>),
@@ -79,21 +85,12 @@ impl SolutionStream {
                 .build_backend()
                 .enumerate(analyzer.tree(), limit, &control)
             {
-                Ok(enumerated) => {
-                    if let Some(cause) = enumerated.stopped {
-                        // The delegated engine stopped before completing;
-                        // mark the termination up front so iteration over
-                        // whatever prefix it proved ends cleanly.
-                        return SolutionStream {
-                            source: Source::Collected(enumerated.solutions.into_iter()),
-                            control,
-                            cap,
-                            delivered: 0,
-                            termination: Some(Termination::from(cause)),
-                        };
-                    }
-                    Source::Collected(enumerated.solutions.into_iter())
-                }
+                Ok(enumerated) => Source::Collected {
+                    rest: enumerated.solutions.into_iter(),
+                    end: enumerated
+                        .stopped
+                        .map_or(Termination::Complete, Termination::from),
+                },
                 Err(error) => Source::Failed(Some(error.into())),
             }
         };
@@ -149,8 +146,10 @@ impl Iterator for SolutionStream {
                         return Some(Err(error.into()));
                     }
                 },
-                Source::Collected(rest) if rest.len() == 0 => Termination::Complete,
-                Source::Collected(_) | Source::Failed(_) => Termination::SolutionCap,
+                // A stopped engine labels the answer by its stop cause, as
+                // the collected query does.
+                Source::Collected { rest, end } if rest.len() == 0 || end.is_truncated() => *end,
+                Source::Collected { .. } | Source::Failed(_) => Termination::SolutionCap,
             };
             self.termination = Some(termination);
             return None;
@@ -160,13 +159,13 @@ impl Iterator for SolutionStream {
                 self.termination = Some(Termination::Failed);
                 error.take().map(Err)
             }
-            Source::Collected(rest) => match rest.next() {
+            Source::Collected { rest, end } => match rest.next() {
                 Some(solution) => {
                     self.delivered += 1;
                     Some(Ok(solution))
                 }
                 None => {
-                    self.termination = Some(Termination::Complete);
+                    self.termination = Some(*end);
                     None
                 }
             },

@@ -21,12 +21,7 @@ pub trait ClauseSink {
 
 impl ClauseSink for Solver {
     fn add_var(&mut self) -> Var {
-        let v = self.new_var();
-        // Encoding variables (totalizer/GTE outputs) are assumed and re-used
-        // by later reformulation clauses; keep them out of inprocessing's
-        // variable elimination.
-        self.freeze_var(v);
-        v
+        self.new_var()
     }
 
     fn add_sink_clause(&mut self, lits: &[Lit]) {

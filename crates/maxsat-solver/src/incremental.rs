@@ -5,7 +5,7 @@
 //! added hard clauses (blocking clauses, scenario constraints). Rebuilding a
 //! solver per query throws away every learnt clause, variable activity and
 //! saved phase the previous query paid for. [`IncrementalMaxSat`] keeps one
-//! [`Session`] alive instead: hard clauses may be added **between optima**,
+//! [`Solver`] alive instead: hard clauses may be added **between optima**,
 //! and each [`IncrementalMaxSat::solve`] call resumes the core-guided OLL
 //! search from the accumulated state. A bounded call
 //! ([`IncrementalMaxSat::solve_within`]) stops as soon as the lower bound
@@ -19,7 +19,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use sat_solver::{InterruptHook, Lit, Session, SolveResult, SolverStats};
+use sat_solver::{InterruptHook, Lit, SolveResult, Solver, SolverStats};
 
 use crate::encodings::totalizer::Totalizer;
 use crate::instance::WcnfInstance;
@@ -110,7 +110,7 @@ pub enum BoundedSolve {
 /// assert!(second.stats.session_calls > first.stats.session_calls);
 /// ```
 pub struct IncrementalMaxSat<'a> {
-    session: Session,
+    solver: Solver,
     /// The original instance — borrowed for one-shot consumers (like
     /// `OllSolver`, which pays no clone) or owned for self-contained
     /// streaming sessions ([`IncrementalMaxSat::owned`]). Used for model
@@ -148,7 +148,7 @@ pub struct IncrementalMaxSat<'a> {
 impl std::fmt::Debug for IncrementalMaxSat<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalMaxSat")
-            .field("session", &self.session)
+            .field("solver", &self.solver)
             .field("added_hard", &self.added_hard.len())
             .field("lower_bound", &self.lower_bound)
             .field("calls", &self.calls)
@@ -177,9 +177,9 @@ impl<'a> IncrementalMaxSat<'a> {
     }
 
     fn from_cow(instance: Cow<'a, WcnfInstance>, config: OllConfig) -> Self {
-        let (session, weights, baseline) = build_state(&config, &instance, &[]);
+        let (solver, weights, baseline) = build_state(&config, &instance, &[]);
         IncrementalMaxSat {
-            session,
+            solver,
             instance,
             added_hard: Vec::new(),
             weights,
@@ -201,7 +201,7 @@ impl<'a> IncrementalMaxSat<'a> {
     /// a later call resumes the search and reports the interrupted call's
     /// work.
     pub fn set_interrupt(&mut self, hook: Option<InterruptHook>) {
-        self.session.set_interrupt(hook.clone());
+        self.solver.set_interrupt(hook.clone());
         self.interrupt = hook;
     }
 
@@ -213,7 +213,7 @@ impl<'a> IncrementalMaxSat<'a> {
         I: IntoIterator<Item = Lit>,
     {
         let clause: Vec<Lit> = lits.into_iter().collect();
-        self.session.add_clause(clause.iter().copied());
+        self.solver.add_clause(clause.iter().copied());
         self.added_hard.push(clause);
     }
 
@@ -227,10 +227,10 @@ impl<'a> IncrementalMaxSat<'a> {
         self.lower_bound
     }
 
-    /// Cumulative statistics of the underlying SAT session, including any
+    /// Cumulative statistics of the underlying SAT solver, including any
     /// solvers retired by compaction.
     pub fn solver_stats(&self) -> SolverStats {
-        self.retired.merged(self.session.stats())
+        self.retired.merged(self.solver.stats())
     }
 
     /// Solves for the optimum of the hard clauses added so far.
@@ -294,7 +294,7 @@ impl<'a> IncrementalMaxSat<'a> {
             }
             let assumptions: Vec<Lit> = self.weights.keys().copied().collect();
             stats.sat_calls += 1;
-            match self.session.solve_with_assumptions(&assumptions) {
+            match self.solver.solve_with_assumptions(&assumptions) {
                 SolveResult::Sat(model) => {
                     let model_vec = extract_model(&model, self.instance.num_vars());
                     let (hard_ok, cost) = self
@@ -318,7 +318,7 @@ impl<'a> IncrementalMaxSat<'a> {
                 }
                 SolveResult::Interrupted => break BoundedSolve::Interrupted,
                 SolveResult::Unsat => {
-                    let core: Vec<Lit> = self.session.unsat_core().to_vec();
+                    let core: Vec<Lit> = self.solver.unsat_core().to_vec();
                     if core.is_empty() {
                         return BoundedSolve::Solved(
                             self.finish_call(stats, MaxSatOutcome::Unsatisfiable),
@@ -346,17 +346,17 @@ impl<'a> IncrementalMaxSat<'a> {
                         }
                     }
                     if core.len() == 1 {
-                        if self.config.harden_singleton_cores {
-                            self.session.add_clause([!core[0]]);
-                        }
+                        // A singleton core's literal is implied by the hard
+                        // clauses: harden it.
+                        self.solver.add_clause([!core[0]]);
                     } else {
                         // Count how many core members are violated; paying
                         // w_min once is already accounted for in the lower
                         // bound, every additional violation costs w_min more.
                         // The totalizer is grown in place inside the live
-                        // session — never re-encoded.
+                        // solver — never re-encoded.
                         let violated: Vec<Lit> = core.iter().map(|&l| !l).collect();
-                        let totalizer = Totalizer::build(self.session.solver_mut(), &violated);
+                        let totalizer = Totalizer::build(&mut self.solver, &violated);
                         for bound in 2..=violated.len() {
                             let output = totalizer.at_least(bound);
                             *self.weights.entry(!output).or_insert(0) += w_min;
@@ -376,10 +376,10 @@ impl<'a> IncrementalMaxSat<'a> {
     /// statistics.
     fn compact(&mut self) {
         self.retired = self.solver_stats();
-        let (mut session, weights, baseline) =
+        let (mut solver, weights, baseline) =
             build_state(&self.config, &self.instance, &self.added_hard);
-        session.set_interrupt(self.interrupt.clone());
-        self.session = session;
+        solver.set_interrupt(self.interrupt.clone());
+        self.solver = solver;
         self.weights = weights;
         self.lower_bound = baseline;
         self.compaction_allowed = false;
@@ -398,24 +398,24 @@ impl<'a> IncrementalMaxSat<'a> {
     }
 }
 
-/// Builds a fresh solver session over `instance` plus `added_hard`, with the
-/// softs normalised into assumption literals. Shared by construction and
+/// Builds a fresh solver over `instance` plus `added_hard`, with the softs
+/// normalised into assumption literals. Shared by construction and
 /// compaction.
 fn build_state(
     config: &OllConfig,
     instance: &WcnfInstance,
     added_hard: &[Vec<Lit>],
-) -> (Session, BTreeMap<Lit, u64>, u64) {
-    let mut session = Session::with_config(config.sat_config.clone());
-    session.ensure_vars(instance.num_vars());
-    for clause in instance.hard_clauses() {
-        session.add_clause(clause.iter().copied());
+) -> (Solver, BTreeMap<Lit, u64>, u64) {
+    let mut solver = Solver::with_config(config.sat_config.clone());
+    solver.ensure_vars(instance.num_vars());
+    for clause in instance
+        .hard_clauses()
+        .chain(added_hard.iter().map(Vec::as_slice))
+    {
+        solver.add_clause(clause.iter().copied());
     }
-    for clause in added_hard {
-        session.add_clause(clause.iter().copied());
-    }
-    let (weights, baseline) = normalize_softs(&mut session, instance);
-    (session, weights, baseline)
+    let (weights, baseline) = normalize_softs(&mut solver, instance);
+    (solver, weights, baseline)
 }
 
 #[cfg(test)]
@@ -564,7 +564,7 @@ mod tests {
         assert!(stops > 0, "some bounded call must stop above its bound");
     }
 
-    /// Session compaction keeps answers and cumulative counters intact: a
+    /// Compaction keeps answers and cumulative counters intact: a
     /// manually triggered compaction mid-sequence must be invisible except
     /// for the rebuilt solver.
     #[test]

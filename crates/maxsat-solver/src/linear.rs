@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use sat_solver::{Lit, Session, SolveResult, SolverConfig};
+use sat_solver::{Lit, SolveResult, Solver, SolverConfig};
 
 use crate::encodings::gte::{GteBuilder, GteError};
 use crate::instance::WcnfInstance;
@@ -89,20 +89,20 @@ impl MaxSatAlgorithm for LinearSuSolver {
             algorithm: self.name().to_string(),
             ..MaxSatStats::default()
         };
-        // One persistent session per instance: the GTE structure below is
+        // One persistent solver per instance: the GTE structure below is
         // built once and tightened in place by unit assertions, never
         // re-encoded, and every SAT call starts from the learnt state of the
         // previous one.
-        let mut session = Session::with_config(self.config.sat_config.clone());
-        session.ensure_vars(instance.num_vars());
+        let mut solver = Solver::with_config(self.config.sat_config.clone());
+        solver.ensure_vars(instance.num_vars());
         for clause in instance.hard_clauses() {
-            session.add_clause(clause.iter().copied());
+            solver.add_clause(clause.iter().copied());
         }
-        let (weights, baseline) = normalize_softs(&mut session, instance);
+        let (weights, baseline) = normalize_softs(&mut solver, instance);
 
-        let finish = |mut stats: MaxSatStats, session: &Session, outcome: MaxSatOutcome| {
-            stats.absorb_solver(session.stats());
-            stats.session_calls = session.stats().solve_calls;
+        let finish = |mut stats: MaxSatStats, solver: &Solver, outcome: MaxSatOutcome| {
+            stats.absorb_solver(solver.stats());
+            stats.session_calls = solver.stats().solve_calls;
             Some(MaxSatResult { outcome, stats })
         };
 
@@ -110,16 +110,16 @@ impl MaxSatAlgorithm for LinearSuSolver {
             return None;
         }
         stats.sat_calls += 1;
-        let first_model = match session.solve() {
+        let first_model = match solver.solve() {
             SolveResult::Sat(model) => model,
             SolveResult::Unsat => {
-                return finish(stats, &session, MaxSatOutcome::Unsatisfiable);
+                return finish(stats, &solver, MaxSatOutcome::Unsatisfiable);
             }
             SolveResult::Interrupted => return None,
         };
         // Extend the model to cover relaxation variables introduced by
         // `normalize_softs` (they live above `instance.num_vars()`).
-        let mut best_full_model: Vec<bool> = (0..session.num_vars())
+        let mut best_full_model: Vec<bool> = (0..solver.num_vars())
             .map(|i| first_model.value(sat_solver::Var::from_index(i)))
             .collect();
         let mut best_penalty = Self::penalty_of(&best_full_model, &weights);
@@ -131,7 +131,7 @@ impl MaxSatAlgorithm for LinearSuSolver {
             stats.upper_bound = cost;
             return finish(
                 stats,
-                &session,
+                &solver,
                 MaxSatOutcome::Optimum {
                     model: model_vec,
                     cost,
@@ -141,21 +141,18 @@ impl MaxSatAlgorithm for LinearSuSolver {
 
         // Build the pseudo-Boolean structure once; tighten by asserting units.
         let penalty_inputs: Vec<(Lit, u64)> = weights.iter().map(|(&l, &w)| (!l, w)).collect();
-        let gte = match GteBuilder::build(
-            session.solver_mut(),
-            &penalty_inputs,
-            self.config.max_gte_outputs,
-        ) {
+        let gte = match GteBuilder::build(&mut solver, &penalty_inputs, self.config.max_gte_outputs)
+        {
             Ok(gte) => gte,
             Err(GteError::TooLarge { .. }) | Err(GteError::Empty) => {
                 // Fall back to the core-guided algorithm; keep its stats but
                 // record that the fallback happened, and fold in the SAT
-                // work this session already performed (the initial solve).
+                // work this solver already performed (the initial solve).
                 let mut result = OllSolver::with_sat_config(self.config.sat_config.clone())
                     .solve_with_stop(instance, stop)?;
                 result.stats.algorithm = "linear-su(fallback:oll)".to_string();
                 result.stats.sat_calls += stats.sat_calls;
-                let spent = session.stats();
+                let spent = solver.stats();
                 result.stats.conflicts += spent.conflicts;
                 result.stats.propagations += spent.propagations;
                 result.stats.restarts += spent.restarts;
@@ -181,14 +178,14 @@ impl MaxSatAlgorithm for LinearSuSolver {
             // been asserted yet.
             for (&sum, &lit) in gte.outputs().range((bound + 1)..=asserted_above) {
                 let _ = sum;
-                session.add_clause([!lit]);
+                solver.add_clause([!lit]);
             }
             asserted_above = bound;
             stats.sat_calls += 1;
-            match session.solve() {
+            match solver.solve() {
                 SolveResult::Sat(model) => {
                     stats.improvements += 1;
-                    best_full_model = (0..session.num_vars())
+                    best_full_model = (0..solver.num_vars())
                         .map(|i| model.value(sat_solver::Var::from_index(i)))
                         .collect();
                     let penalty = Self::penalty_of(&best_full_model, &weights);
@@ -213,7 +210,7 @@ impl MaxSatAlgorithm for LinearSuSolver {
         stats.upper_bound = cost;
         finish(
             stats,
-            &session,
+            &solver,
             MaxSatOutcome::Optimum {
                 model: model_vec,
                 cost,

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
-use sat_solver::{Lit, Session, SolverConfig, Var};
+use sat_solver::{Lit, Solver, SolverConfig, Var};
 
 use crate::incremental::IncrementalMaxSat;
 use crate::instance::WcnfInstance;
@@ -22,22 +22,10 @@ use crate::result::MaxSatResult;
 use crate::MaxSatAlgorithm;
 
 /// Configuration of the [`OllSolver`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OllConfig {
     /// Configuration of the underlying SAT solver.
     pub sat_config: SolverConfig,
-    /// When a core consists of a single soft literal, add its negation as a
-    /// hard unit clause (the literal is implied by the hard clauses anyway).
-    pub harden_singleton_cores: bool,
-}
-
-impl Default for OllConfig {
-    fn default() -> Self {
-        OllConfig {
-            sat_config: SolverConfig::default(),
-            harden_singleton_cores: true,
-        }
-    }
 }
 
 /// Core-guided OLL solver.
@@ -55,10 +43,7 @@ impl OllSolver {
     /// Creates a solver whose underlying SAT solver uses `sat_config`.
     pub fn with_sat_config(sat_config: SolverConfig) -> Self {
         OllSolver {
-            config: OllConfig {
-                sat_config,
-                ..OllConfig::default()
-            },
+            config: OllConfig { sat_config },
         }
     }
 }
@@ -68,7 +53,7 @@ impl OllSolver {
 /// aggregated weight map and the cost of soft clauses that can never be
 /// satisfied (empty clauses).
 pub(crate) fn normalize_softs(
-    session: &mut Session,
+    solver: &mut Solver,
     instance: &WcnfInstance,
 ) -> (BTreeMap<Lit, u64>, u64) {
     let mut weights: BTreeMap<Lit, u64> = BTreeMap::new();
@@ -76,21 +61,12 @@ pub(crate) fn normalize_softs(
     for soft in instance.soft_clauses() {
         match soft.lits.len() {
             0 => baseline += soft.weight,
-            1 => {
-                // The soft literal itself is assumed later; keep it safe from
-                // variable elimination.
-                session.freeze_var(soft.lits[0].var());
-                *weights.entry(soft.lits[0]).or_insert(0) += soft.weight;
-            }
+            1 => *weights.entry(soft.lits[0]).or_insert(0) += soft.weight,
             _ => {
-                let relax = Lit::positive(session.new_var());
-                // Selectors are assumed on every solver call and re-used by
-                // the OLL reformulation; inprocessing must never eliminate
-                // them.
-                session.freeze_var(relax.var());
+                let relax = Lit::positive(solver.new_var());
                 let mut clause = soft.lits.clone();
                 clause.push(relax);
-                session.add_clause(clause);
+                solver.add_clause(clause);
                 *weights.entry(!relax).or_insert(0) += soft.weight;
             }
         }

@@ -77,7 +77,6 @@ pub fn default_entries() -> Vec<PortfolioEntry> {
         PortfolioEntry::Oll(OllConfig::default()),
         PortfolioEntry::Oll(OllConfig {
             sat_config: aggressive,
-            ..OllConfig::default()
         }),
         PortfolioEntry::LinearSu(LinearSuConfig {
             sat_config: diverse,

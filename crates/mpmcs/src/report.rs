@@ -1,7 +1,10 @@
 //! JSON reports mirroring the output of the original MPMCS4FTA tool (Fig. 2
 //! of the paper).
 
-use fault_tree::FaultTree;
+use std::time::Duration;
+
+use fault_tree::{CutSet, FaultTree};
+use maxsat_solver::MaxSatStats;
 
 use crate::solver::MpmcsSolution;
 
@@ -48,8 +51,8 @@ pub struct SolverStatsReport {
     pub learnt_reused: u64,
     /// Cumulative SAT calls of the owning solver session after this cut set.
     pub session_calls: u64,
-    /// Inprocessing rounds run at level-0 boundaries (subsumption,
-    /// self-subsuming resolution, optional variable elimination).
+    /// Inprocessing rounds run at level-0 boundaries (subsumption and
+    /// self-subsuming resolution).
     pub inprocess_rounds: u64,
     /// Clauses strengthened by inprocessing.
     pub inprocess_strengthened: u64,
@@ -71,6 +74,23 @@ serde::impl_serde_struct!(SolverStatsReport {
     inprocess_removed,
     arena_compactions
 });
+
+impl From<&MaxSatStats> for SolverStatsReport {
+    fn from(stats: &MaxSatStats) -> Self {
+        SolverStatsReport {
+            sat_calls: stats.sat_calls,
+            conflicts: stats.conflicts,
+            propagations: stats.propagations,
+            restarts: stats.restarts,
+            learnt_reused: stats.learnt_reused,
+            session_calls: stats.session_calls,
+            inprocess_rounds: stats.inprocess_rounds,
+            inprocess_strengthened: stats.inprocess_strengthened,
+            inprocess_removed: stats.inprocess_removed,
+            arena_compactions: stats.arena_compactions,
+        }
+    }
+}
 
 /// A serialisable MPMCS analysis report.
 ///
@@ -97,8 +117,8 @@ pub struct MpmcsReport {
     pub solve_time_ms: f64,
     /// Number of SAT calls performed by the MaxSAT search.
     pub sat_calls: u64,
-    /// Detailed solver statistics, present only when requested
-    /// ([`MpmcsReport::with_stats`], CLI `--stats`).
+    /// Detailed solver statistics, present only when requested (CLI
+    /// `--stats`; built with [`SolverStatsReport::from`]).
     pub solver_stats: Option<SolverStatsReport>,
 }
 
@@ -115,14 +135,39 @@ serde::impl_serde_struct!(MpmcsReport {
 } optional { solver_stats });
 
 impl MpmcsReport {
-    /// Builds a report from a solution.
+    /// Builds a report from a solution of the MaxSAT pipeline, without the
+    /// solver-statistics block.
     pub fn new(tree: &FaultTree, solution: &MpmcsSolution) -> Self {
+        MpmcsReport::for_answer(
+            tree,
+            &solution.cut_set,
+            solution.probability,
+            solution.log_weight,
+            &solution.algorithm,
+            solution.duration,
+            Some(&solution.stats),
+        )
+    }
+
+    /// Builds the report of one answer, whichever engine produced it: the
+    /// tree summary, one row per event of `cut_set`, the answer's figures,
+    /// and the SAT-call count of `stats` (0 when no SAT engine ran). The
+    /// solver-statistics block stays empty; a caller that wants it sets
+    /// `solver_stats` from the same `stats`.
+    pub fn for_answer(
+        tree: &FaultTree,
+        cut_set: &CutSet,
+        probability: f64,
+        log_weight: f64,
+        algorithm: &str,
+        duration: Duration,
+        stats: Option<&MaxSatStats>,
+    ) -> Self {
         MpmcsReport {
             tree: tree.name().to_string(),
             num_events: tree.num_events(),
             num_gates: tree.num_gates(),
-            mpmcs: solution
-                .cut_set
+            mpmcs: cut_set
                 .iter()
                 .map(|e| {
                     let event = tree.event(e);
@@ -133,33 +178,13 @@ impl MpmcsReport {
                     }
                 })
                 .collect(),
-            probability: solution.probability,
-            log_weight: solution.log_weight,
-            algorithm: solution.algorithm.clone(),
-            solve_time_ms: solution.duration.as_secs_f64() * 1e3,
-            sat_calls: solution.stats.sat_calls,
+            probability,
+            log_weight,
+            algorithm: algorithm.to_string(),
+            solve_time_ms: duration.as_secs_f64() * 1e3,
+            sat_calls: stats.map_or(0, |s| s.sat_calls),
             solver_stats: None,
         }
-    }
-
-    /// Builds a report carrying the detailed solver statistics block
-    /// (conflicts, propagations, restarts, learnt-clause reuse, session
-    /// counters) alongside the analysis content.
-    pub fn with_stats(tree: &FaultTree, solution: &MpmcsSolution) -> Self {
-        let mut report = MpmcsReport::new(tree, solution);
-        report.solver_stats = Some(SolverStatsReport {
-            sat_calls: solution.stats.sat_calls,
-            conflicts: solution.stats.conflicts,
-            propagations: solution.stats.propagations,
-            restarts: solution.stats.restarts,
-            learnt_reused: solution.stats.learnt_reused,
-            session_calls: solution.stats.session_calls,
-            inprocess_rounds: solution.stats.inprocess_rounds,
-            inprocess_strengthened: solution.stats.inprocess_strengthened,
-            inprocess_removed: solution.stats.inprocess_removed,
-            arena_compactions: solution.stats.arena_compactions,
-        });
-        report
     }
 
     /// Renders the report as pretty-printed JSON.
@@ -194,7 +219,10 @@ mod tests {
     fn with_stats_carries_the_solver_statistics_block() {
         let tree = fire_protection_system();
         let solution = MpmcsSolver::new().solve(&tree).expect("solvable");
-        let report = MpmcsReport::with_stats(&tree, &solution);
+        let report = MpmcsReport {
+            solver_stats: Some(SolverStatsReport::from(&solution.stats)),
+            ..MpmcsReport::new(&tree, &solution)
+        };
         let stats = report.solver_stats.as_ref().expect("stats requested");
         assert_eq!(stats.sat_calls, report.sat_calls);
         assert!(stats.propagations > 0);

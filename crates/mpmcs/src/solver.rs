@@ -80,7 +80,6 @@ impl MpmcsOptions {
                 branching: self.branching,
                 ..SolverConfig::default()
             },
-            ..OllConfig::default()
         }
     }
 }

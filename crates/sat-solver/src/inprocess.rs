@@ -1,98 +1,50 @@
 //! Session-safe inprocessing: bounded simplification between solve calls.
 //!
 //! A round runs at a level-0 boundary (the start of a
-//! [`Solver::solve_with_assumptions`] call) once enough conflicts have
-//! accumulated since the previous round. It performs, in order:
+//! [`Solver::solve_with_assumptions`] call) once [`INTERVAL_CONFLICTS`]
+//! conflicts have accumulated since the previous round, or on demand
+//! through [`Solver::inprocess_now`]. It performs, in order:
 //!
 //! 1. **Top-level simplification** — clauses satisfied at level 0 are
 //!    deleted; literals false at level 0 are removed (a clause shrunk to one
 //!    literal is enqueued, to zero makes the database unsat).
 //! 2. **Subsumption and self-subsuming resolution** — for every live clause
-//!    `C` within the size bound, any clause `D ⊇ C` is deleted, and any `D`
-//!    containing all of `C` except one literal in negated form is
-//!    strengthened by removing that literal (the resolvent of `C` and `D` is
-//!    a strict subset of `D`). Both steps preserve logical *equivalence*, so
-//!    they are unconditionally sound for incremental sessions: clauses and
-//!    assumptions added later can never be invalidated.
-//! 3. **Bounded variable elimination** (opt-in, `var_elim`) — a variable
-//!    whose pos/neg occurrence lists are small is resolved away when the
-//!    resolvent set is no larger than the clauses it replaces. VE only
-//!    preserves *equisatisfiability*, so it is restricted to variables that
-//!    are not [frozen](Solver::freeze_var) — assumption variables are frozen
-//!    automatically, and the MaxSAT layer freezes its soft-clause selectors —
-//!    and the eliminated variable's clauses are kept on a stack, both to
-//!    extend models with consistent values and to *restore* the variable if
-//!    a later `add_clause` (or assumption) mentions it again.
+//!    `C` of at most [`SUBSUMPTION_LIMIT`] literals, any clause `D ⊇ C` is
+//!    deleted, and any `D` containing all of `C` except one literal in
+//!    negated form is strengthened by removing that literal (the resolvent
+//!    of `C` and `D` is a strict subset of `D`). Both steps preserve logical
+//!    *equivalence*, so they are unconditionally sound for incremental
+//!    solving: clauses and assumptions added later can never be invalidated.
 //!
-//! All passes are bounded (clause-size and occurrence-list budgets) so a
+//! Both passes are bounded (clause-size and occurrence-list budgets) so a
 //! round costs a small slice of the search time it amortises.
 //!
 //! [`Solver::solve_with_assumptions`]: crate::Solver::solve_with_assumptions
 
 use crate::clause::ClauseRef;
-use crate::lit::{LBool, Lit, Var};
+use crate::lit::{LBool, Lit};
 use crate::solver::Solver;
 
-/// Schedule and bounds for inprocessing rounds.
-///
-/// The defaults keep inprocessing dormant on easy workloads (a round only
-/// triggers after `interval_conflicts` conflicts since the last one) and
-/// bounded on hard ones. Variable elimination is opt-in because it is only
-/// safe for variables the embedding layers have not promised to re-use; the
-/// solver protects assumption variables automatically and exposes
-/// [`Solver::freeze_var`](crate::Solver::freeze_var) for the rest.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InprocessConfig {
-    /// Master switch for scheduled rounds ([`Solver::inprocess_now`] works
-    /// regardless).
-    ///
-    /// [`Solver::inprocess_now`]: crate::Solver::inprocess_now
-    pub enabled: bool,
-    /// Conflicts that must accumulate between rounds.
-    pub interval_conflicts: u64,
-    /// Only clauses with at most this many literals act as subsumers.
-    pub subsumption_limit: usize,
-    /// At most this many occurrence-list candidates are checked per subsumer.
-    pub occ_budget: usize,
-    /// Enables bounded variable elimination (off by default; see the module
-    /// docs for why it is opt-in).
-    pub var_elim: bool,
-    /// A variable is only eliminated when both occurrence lists have at most
-    /// this many clauses.
-    pub var_elim_max_occ: usize,
-}
-
-impl Default for InprocessConfig {
-    fn default() -> Self {
-        InprocessConfig {
-            enabled: true,
-            interval_conflicts: 8000,
-            subsumption_limit: 30,
-            occ_budget: 2000,
-            var_elim: false,
-            var_elim_max_occ: 10,
-        }
-    }
-}
+/// Conflicts that must accumulate between scheduled rounds, which keeps
+/// inprocessing dormant on easy workloads.
+const INTERVAL_CONFLICTS: u64 = 8000;
+/// Only clauses with at most this many literals act as subsumers.
+const SUBSUMPTION_LIMIT: usize = 30;
+/// At most this many occurrence-list candidates are checked per subsumer.
+const OCC_BUDGET: usize = 2000;
 
 impl Solver {
     /// Runs a scheduled inprocessing round if one is due.
     pub(crate) fn maybe_inprocess(&mut self) {
-        let config = self.config.inprocess;
-        if !config.enabled {
-            return;
+        if self.stats.conflicts - self.last_inprocess_conflicts >= INTERVAL_CONFLICTS {
+            self.inprocess_now();
         }
-        if self.stats.conflicts - self.last_inprocess_conflicts < config.interval_conflicts {
-            return;
-        }
-        self.inprocess_now();
     }
 
     /// Runs one inprocessing round immediately (top-level simplification,
-    /// subsumption / self-subsuming resolution, and — when enabled —
-    /// bounded variable elimination). Must be called at decision level 0
-    /// with a fully propagated trail, i.e. between solve calls; no-op when
-    /// the database is already unsat.
+    /// then subsumption / self-subsuming resolution). Must be called at
+    /// decision level 0 with a fully propagated trail, i.e. between solve
+    /// calls; no-op when the database is already unsat.
     pub fn inprocess_now(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
@@ -105,9 +57,6 @@ impl Solver {
         self.simplify_top_level();
         if self.ok {
             self.subsumption_pass();
-        }
-        if self.ok && self.config.inprocess.var_elim {
-            self.eliminate_vars();
         }
         self.stats.inprocess_rounds += 1;
         self.stats.learnt_clauses = self.db.num_learnt as u64;
@@ -212,11 +161,8 @@ impl Solver {
     }
 
     /// Backward subsumption and self-subsuming resolution over all live
-    /// clauses, bounded by the configured subsumer size and occurrence
-    /// budget.
+    /// clauses, bounded by [`SUBSUMPTION_LIMIT`] and [`OCC_BUDGET`].
     fn subsumption_pass(&mut self) {
-        let limit = self.config.inprocess.subsumption_limit;
-        let occ_budget = self.config.inprocess.occ_budget;
         let crefs: Vec<ClauseRef> = self.db.refs().filter(|&c| !self.db.is_deleted(c)).collect();
         // Occurrence lists over every live clause (the subsumee side is
         // unbounded; only subsumers are size-limited).
@@ -235,7 +181,7 @@ impl Solver {
                 continue;
             }
             let clen = self.db.len_of(c);
-            if clen > limit {
+            if clen > SUBSUMPTION_LIMIT {
                 continue;
             }
             epoch += 1;
@@ -255,7 +201,7 @@ impl Solver {
                 .iter()
                 .chain(occ[(!best).code()].iter())
                 .copied()
-                .take(occ_budget)
+                .take(OCC_BUDGET)
                 .collect();
             for d_offset in candidates {
                 let d = ClauseRef(d_offset);
@@ -325,147 +271,13 @@ impl Solver {
             self.simplify_top_level();
         }
     }
-
-    /// Bounded variable elimination: resolves away unassigned, unfrozen
-    /// variables with small occurrence lists when doing so does not grow the
-    /// clause database. Learnt clauses containing the variable are dropped
-    /// (they are implied, so this is sound); original clauses are stored on
-    /// the elimination stack for model extension and restoration.
-    fn eliminate_vars(&mut self) {
-        let max_occ = self.config.inprocess.var_elim_max_occ;
-        for v_idx in 0..self.num_vars() {
-            let var = Var::from_index(v_idx);
-            if self.frozen[v_idx] || self.eliminated[v_idx] || !self.assigns[v_idx].is_undef() {
-                continue;
-            }
-            let pos_lit = Lit::positive(var);
-            let neg_lit = Lit::negative(var);
-            let mut pos: Vec<ClauseRef> = Vec::new();
-            let mut neg: Vec<ClauseRef> = Vec::new();
-            let mut learnt_occ: Vec<ClauseRef> = Vec::new();
-            let mut too_many = false;
-            for cref in self.db.refs() {
-                if self.db.is_deleted(cref) {
-                    continue;
-                }
-                let lits = self.db.lits(cref);
-                let occurs_pos = lits.contains(&pos_lit);
-                let occurs_neg = lits.contains(&neg_lit);
-                if !occurs_pos && !occurs_neg {
-                    continue;
-                }
-                if self.db.is_learnt(cref) {
-                    learnt_occ.push(cref);
-                    continue;
-                }
-                if occurs_pos {
-                    pos.push(cref);
-                } else {
-                    neg.push(cref);
-                }
-                if pos.len() > max_occ || neg.len() > max_occ {
-                    too_many = true;
-                    break;
-                }
-            }
-            if too_many {
-                continue;
-            }
-            // Build the resolvent set; bail out if it grows the database.
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut grows = false;
-            'pairs: for &cp in &pos {
-                for &cn in &neg {
-                    if let Some(resolvent) = self.resolve_on(cp, cn, var) {
-                        resolvents.push(resolvent);
-                        if resolvents.len() > pos.len() + neg.len() {
-                            grows = true;
-                            break 'pairs;
-                        }
-                    }
-                }
-            }
-            if grows {
-                continue;
-            }
-            // Commit: store the originals, drop every occurrence, add the
-            // resolvents.
-            let mut stored: Vec<Vec<Lit>> = Vec::with_capacity(pos.len() + neg.len());
-            for &cref in pos.iter().chain(neg.iter()) {
-                stored.push(self.db.lits(cref).to_vec());
-                self.db.delete(cref);
-                self.stats.inprocess_removed += 1;
-            }
-            for &cref in &learnt_occ {
-                self.db.delete(cref);
-            }
-            self.eliminated[v_idx] = true;
-            self.elim_stack.push((var, stored));
-            let mut units = false;
-            for resolvent in resolvents {
-                match resolvent.len() {
-                    0 => {
-                        self.ok = false;
-                        return;
-                    }
-                    1 => match self.lit_value(resolvent[0]) {
-                        LBool::True => {}
-                        LBool::False => {
-                            self.ok = false;
-                            return;
-                        }
-                        LBool::Undef => {
-                            self.unchecked_enqueue(resolvent[0], None);
-                            units = true;
-                        }
-                    },
-                    _ => {
-                        let cref = self.db.add(&resolvent, false);
-                        self.attach_clause(cref);
-                    }
-                }
-            }
-            if units {
-                if self.propagate().is_some() {
-                    self.ok = false;
-                    return;
-                }
-                self.clear_top_level_reasons();
-            }
-            self.stats.learnt_clauses = self.db.num_learnt as u64;
-        }
-    }
-
-    /// Resolvent of two clauses on `var` (`cp` contains `var` positively,
-    /// `cn` negatively), with level-0-false literals dropped. `None` when
-    /// the resolvent is a tautology or satisfied at level 0.
-    fn resolve_on(&self, cp: ClauseRef, cn: ClauseRef, var: Var) -> Option<Vec<Lit>> {
-        let mut resolvent: Vec<Lit> = Vec::new();
-        for &lit in self.db.lits(cp).iter().chain(self.db.lits(cn).iter()) {
-            if lit.var() == var {
-                continue;
-            }
-            match self.lit_value(lit) {
-                LBool::True => return None,
-                LBool::False => continue,
-                LBool::Undef => resolvent.push(lit),
-            }
-        }
-        resolvent.sort_unstable();
-        resolvent.dedup();
-        for pair in resolvent.windows(2) {
-            if pair[1] == !pair[0] {
-                return None; // tautology
-            }
-        }
-        Some(resolvent)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{SolveResult, SolverConfig};
+    use crate::lit::Var;
+    use crate::solver::SolveResult;
     use crate::CnfFormula;
 
     fn pos(i: usize) -> Lit {
@@ -578,80 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn variable_elimination_respects_frozen_and_extends_models() {
-        let config = SolverConfig {
-            inprocess: InprocessConfig {
-                var_elim: true,
-                ..InprocessConfig::default()
-            },
-            ..SolverConfig::default()
-        };
-        let mut s = Solver::with_config(config);
-        s.ensure_vars(4);
-        // x1 is a pure connector: (x0 ∨ x1) ∧ (¬x1 ∨ x2) ∧ (¬x1 ∨ x3)
-        s.add_clause([pos(0), pos(1)]);
-        s.add_clause([neg(1), pos(2)]);
-        s.add_clause([neg(1), pos(3)]);
-        s.freeze_var(Var::from_index(0));
-        s.inprocess_now();
-        assert!(s.eliminated.iter().any(|&e| e), "some variable eliminated");
-        assert!(!s.eliminated[0], "frozen variables must survive");
-        // The model must cover the eliminated variable consistently.
-        match s.solve_with_assumptions(&[neg(0)]) {
-            SolveResult::Sat(m) => {
-                assert!(m.value(Var::from_index(1)), "x1 forced true when x0 false");
-                assert!(m.value(Var::from_index(2)));
-                assert!(m.value(Var::from_index(3)));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        s.assert_integrity();
-    }
-
-    #[test]
-    fn eliminated_variables_are_restored_on_later_clause_additions() {
-        let config = SolverConfig {
-            inprocess: InprocessConfig {
-                var_elim: true,
-                ..InprocessConfig::default()
-            },
-            ..SolverConfig::default()
-        };
-        let mut s = Solver::with_config(config);
-        s.ensure_vars(3);
-        s.add_clause([pos(0), pos(1)]);
-        s.add_clause([neg(1), pos(2)]);
-        s.inprocess_now();
-        let eliminated: Vec<usize> = (0..3).filter(|&i| s.eliminated[i]).collect();
-        assert!(!eliminated.is_empty());
-        let v = Var::from_index(eliminated[0]);
-        // A later clause mentioning the eliminated variable must transparently
-        // restore it.
-        assert!(s.add_clause([Lit::positive(v), pos(0)]));
-        assert!(!s.eliminated[v.index()]);
-        assert!(s.solve().is_sat());
-        s.assert_integrity();
-        // Assumptions on an eliminated variable restore it too.
-        let mut s = Solver::with_config(SolverConfig {
-            inprocess: InprocessConfig {
-                var_elim: true,
-                ..InprocessConfig::default()
-            },
-            ..SolverConfig::default()
-        });
-        s.ensure_vars(3);
-        s.add_clause([pos(0), pos(1)]);
-        s.add_clause([neg(1), pos(2)]);
-        s.inprocess_now();
-        let eliminated: Vec<usize> = (0..3).filter(|&i| s.eliminated[i]).collect();
-        assert!(!eliminated.is_empty());
-        let v = Var::from_index(eliminated[0]);
-        assert!(s.solve_with_assumptions(&[Lit::negative(v)]).is_sat());
-        assert!(!s.eliminated[v.index()]);
-        assert!(s.is_frozen(v), "assumed variables are frozen");
-    }
-
-    #[test]
     fn inprocessing_preserves_answers_on_random_3sat() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -669,15 +407,7 @@ mod tests {
             }
             let mut plain = Solver::from_cnf(&cnf);
             let expected = plain.solve().is_sat();
-            let mut inproc = Solver::with_config(SolverConfig {
-                inprocess: InprocessConfig {
-                    interval_conflicts: 1,
-                    var_elim: true,
-                    ..InprocessConfig::default()
-                },
-                ..SolverConfig::default()
-            });
-            inproc.add_cnf(&cnf);
+            let mut inproc = Solver::from_cnf(&cnf);
             inproc.inprocess_now();
             let got = inproc.solve();
             assert_eq!(got.is_sat(), expected, "instance {instance} must agree");
@@ -685,11 +415,60 @@ mod tests {
                 assert_eq!(
                     cnf.evaluate(model.as_slice()),
                     Some(true),
-                    "instance {instance}: extended model must satisfy the formula"
+                    "instance {instance}: the model must satisfy the formula"
                 );
             }
             inproc.assert_integrity();
         }
+    }
+
+    /// Nothing forces this round: the schedule alone runs one at the start
+    /// of the call after a first call spent more than `INTERVAL_CONFLICTS`
+    /// conflicts refuting a pigeonhole core (9 into 8: about 27,000). The
+    /// core is guarded by an assumption, so the database itself stays
+    /// satisfiable and every call keeps answering.
+    #[test]
+    fn a_scheduled_round_fires_once_the_conflict_interval_has_passed() {
+        let (pigeons, holes) = (9, 8);
+        let guard = Var::from_index(0);
+        let var = |i: usize, j: usize| Var::from_index(1 + i * holes + j);
+        let mut s = Solver::new();
+        s.ensure_vars(1 + pigeons * holes);
+        for i in 0..pigeons {
+            let placed = (0..holes).map(|j| Lit::positive(var(i, j)));
+            s.add_clause(std::iter::once(Lit::negative(guard)).chain(placed));
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
+                    s.add_clause([Lit::negative(var(i1, j)), Lit::negative(var(i2, j))]);
+                }
+            }
+        }
+        let guarded = [Lit::positive(guard)];
+        assert_eq!(s.solve_with_assumptions(&guarded), SolveResult::Unsat);
+        assert_eq!(s.unsat_core(), &guarded);
+        assert!(s.stats().conflicts > INTERVAL_CONFLICTS);
+        assert_eq!(
+            s.stats().inprocess_rounds,
+            0,
+            "no round before the interval"
+        );
+
+        assert_eq!(s.solve_with_assumptions(&guarded), SolveResult::Unsat);
+        assert_eq!(s.unsat_core(), &guarded);
+        assert_eq!(s.stats().inprocess_rounds, 1, "the schedule ran one round");
+        s.assert_integrity();
+        match s.solve() {
+            SolveResult::Sat(model) => assert!(!model.value(guard)),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        assert_eq!(
+            s.stats().inprocess_rounds,
+            1,
+            "the round restarted the interval"
+        );
+        s.assert_integrity();
     }
 
     #[test]

@@ -9,18 +9,17 @@
 //! * [`BoolExpr`] and [`tseitin::TseitinEncoder`] — an arbitrary Boolean
 //!   expression tree (with AND/OR/NOT and `at-least-k` voting operators) and
 //!   its polynomial-size, equisatisfiable CNF conversion (paper Step 2).
-//! * [`Solver`] — a CDCL solver with a flat clause arena (offset-based
-//!   [`ClauseRef`]s, in-place compaction), two-literal watches, first-UIP
-//!   clause learning, pluggable branching ([`BranchingStrategy`]; VSIDS with
-//!   phase saving by default), Luby restarts, learnt-clause database
-//!   reduction, session-safe inprocessing (bounded subsumption /
-//!   self-subsuming resolution, optional constrained variable elimination —
-//!   see [`InprocessConfig`]), and **solving under assumptions** with
-//!   final-core extraction (needed by the core-guided MaxSAT algorithms).
-//! * [`Session`] — a persistent incremental solving session: new clauses and
-//!   fresh variables between solve calls, learnt clauses / activities /
-//!   phases retained, per-call statistics deltas. The MaxSAT layer and the
-//!   cut-set enumeration loop are built on it.
+//! * [`Solver`] — an incremental CDCL solver with a flat clause arena
+//!   (offset-based [`ClauseRef`]s, in-place compaction), two-literal
+//!   watches, first-UIP clause learning, pluggable branching
+//!   ([`BranchingStrategy`]; VSIDS with phase saving by default), Luby
+//!   restarts, learnt-clause database reduction, bounded inprocessing
+//!   between calls (subsumption and self-subsuming resolution), and
+//!   **solving under assumptions** with final-core extraction (needed by the
+//!   core-guided MaxSAT algorithms). One solver serves a whole sequence of
+//!   calls: fresh variables and clauses may be added between them, and
+//!   learnt clauses, activities and phases carry over. The MaxSAT layer and
+//!   the cut-set enumeration loop are built on it.
 //!
 //! # Example
 //!
@@ -36,6 +35,13 @@
 //!     SolveResult::Sat(model) => assert!(model.value(b)),
 //!     other => unreachable!("formula is satisfiable, got {other:?}"),
 //! }
+//! // The same solver answers later calls: under assumptions, with a core...
+//! assert_eq!(solver.solve_with_assumptions(&[Lit::negative(b)]), SolveResult::Unsat);
+//! assert_eq!(solver.unsat_core(), &[Lit::negative(b)]);
+//! // ...and after clauses added between calls.
+//! solver.add_clause([Lit::negative(b)]);
+//! assert_eq!(solver.solve(), SolveResult::Unsat);
+//! assert_eq!(solver.stats().solve_calls, 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +55,6 @@ mod expr;
 mod heap;
 mod inprocess;
 mod lit;
-mod session;
 mod solver;
 mod stats;
 pub mod tseitin;
@@ -58,8 +63,6 @@ pub use branching::{BranchingChoice, BranchingStrategy, RandomBranching, VsidsBr
 pub use clause::{Clause, ClauseRef};
 pub use cnf::CnfFormula;
 pub use expr::BoolExpr;
-pub use inprocess::InprocessConfig;
 pub use lit::{LBool, Lit, Var};
-pub use session::Session;
 pub use solver::{InterruptHook, Model, SolveResult, Solver, SolverConfig};
 pub use stats::SolverStats;

@@ -9,16 +9,14 @@
 //! of it is dead. Assumptions are supported and a final conflict (unsat
 //! core over the assumptions) is produced when solving under assumptions
 //! fails, which the core-guided MaxSAT algorithms rely on. Between solve
-//! calls the solver can run bounded inprocessing (subsumption,
-//! self-subsuming resolution, constrained variable elimination — see
-//! [`crate::inprocess`]).
+//! calls the solver runs bounded inprocessing (subsumption and
+//! self-subsuming resolution — see [`crate::inprocess`]).
 
 use std::sync::Arc;
 
 use crate::branching::{BranchingChoice, BranchingStrategy};
 use crate::clause::{self, ClauseDb, ClauseRef};
 use crate::cnf::CnfFormula;
-use crate::inprocess::InprocessConfig;
 use crate::lit::{LBool, Lit, Var};
 use crate::stats::SolverStats;
 
@@ -29,6 +27,13 @@ use crate::stats::SolverStats;
 /// fold wall-clock deadlines and shared cancellation tokens into one probe.
 pub type InterruptHook = Arc<dyn Fn() -> bool + Send + Sync>;
 
+/// Multiplicative decay applied to learnt-clause activities.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Initial learnt-clause limit as a fraction of the original clause count.
+const LEARNTSIZE_FACTOR: f64 = 1.0 / 3.0;
+/// Growth factor applied to the learnt-clause limit after each reduction.
+const LEARNTSIZE_INC: f64 = 1.1;
+
 /// Tunable solver parameters.
 ///
 /// The defaults mirror MiniSat's. The parallel MaxSAT portfolio (paper Step 5)
@@ -38,8 +43,6 @@ pub type InterruptHook = Arc<dyn Fn() -> bool + Send + Sync>;
 pub struct SolverConfig {
     /// Multiplicative decay applied to variable activities (0 < decay < 1).
     pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities (0 < decay < 1).
-    pub clause_decay: f64,
     /// Frequency of random branching decisions in `[0, 1)` (VSIDS only).
     pub random_var_freq: f64,
     /// Initial number of conflicts between restarts.
@@ -48,30 +51,20 @@ pub struct SolverConfig {
     pub default_phase: bool,
     /// Seed for the solver-internal RNG (random decisions, tie breaking).
     pub seed: u64,
-    /// Initial learnt-clause limit as a fraction of the original clause count.
-    pub learntsize_factor: f64,
-    /// Growth factor applied to the learnt-clause limit after each reduction.
-    pub learntsize_inc: f64,
     /// Which branching heuristic drives decisions (see
     /// [`BranchingChoice`]).
     pub branching: BranchingChoice,
-    /// Inprocessing schedule and bounds (see [`InprocessConfig`]).
-    pub inprocess: InprocessConfig,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             var_decay: 0.95,
-            clause_decay: 0.999,
             random_var_freq: 0.0,
             restart_first: 100,
             default_phase: false,
             seed: 42,
-            learntsize_factor: 1.0 / 3.0,
-            learntsize_inc: 1.1,
             branching: BranchingChoice::Vsids,
-            inprocess: InprocessConfig::default(),
         }
     }
 }
@@ -172,16 +165,6 @@ pub struct Solver {
     unsat_core: Vec<Lit>,
     last_model: Option<Model>,
     interrupt: Option<InterruptHook>,
-    /// Variables that inprocessing must never eliminate (assumption
-    /// variables are frozen automatically; encoding layers freeze their
-    /// selector variables explicitly).
-    pub(crate) frozen: Vec<bool>,
-    /// Variables removed by bounded variable elimination. Their clauses are
-    /// kept on [`Solver::elim_stack`] for model extension and restoration.
-    pub(crate) eliminated: Vec<bool>,
-    /// For each eliminated variable, the clauses it occurred in at
-    /// elimination time (model extension walks this in reverse).
-    pub(crate) elim_stack: Vec<(Var, Vec<Vec<Lit>>)>,
     /// Conflict count at the end of the last inprocessing round.
     pub(crate) last_inprocess_conflicts: u64,
 }
@@ -244,9 +227,6 @@ impl Solver {
             unsat_core: Vec::new(),
             last_model: None,
             interrupt: None,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            elim_stack: Vec::new(),
             last_inprocess_conflicts: 0,
         }
     }
@@ -319,8 +299,6 @@ impl Solver {
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
-        self.frozen.push(false);
-        self.eliminated.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.branching.on_new_var(v);
@@ -332,20 +310,6 @@ impl Solver {
         while self.num_vars() < n {
             self.new_var();
         }
-    }
-
-    /// Marks `var` as untouchable by inprocessing's variable elimination.
-    /// Assumption variables are frozen automatically on every
-    /// [`Solver::solve_with_assumptions`] call; encoding layers (soft-clause
-    /// selectors, totalizer outputs) freeze theirs at allocation time.
-    pub fn freeze_var(&mut self, var: Var) {
-        self.ensure_vars(var.index() + 1);
-        self.frozen[var.index()] = true;
-    }
-
-    /// `true` when `var` is protected from variable elimination.
-    pub fn is_frozen(&self, var: Var) -> bool {
-        self.frozen.get(var.index()).copied().unwrap_or(false)
     }
 
     /// Adds all clauses of a [`CnfFormula`].
@@ -372,21 +336,6 @@ impl Solver {
         let mut clause: Vec<Lit> = lits.into_iter().collect();
         for lit in &clause {
             self.ensure_vars(lit.var().index() + 1);
-        }
-        // A new clause may mention a variable that inprocessing eliminated;
-        // restore such variables first (re-adding their original clauses
-        // keeps the database logically equivalent — the resolvents that
-        // replaced them are implied).
-        if !self.elim_stack.is_empty() {
-            for lit in &clause {
-                let v = lit.var();
-                if self.eliminated[v.index()] {
-                    self.restore_eliminated_var(v);
-                    if !self.ok {
-                        return false;
-                    }
-                }
-            }
         }
         clause.sort_unstable();
         clause.dedup();
@@ -422,29 +371,6 @@ impl Solver {
                 self.num_original_clauses += 1;
                 self.attach_clause(cref);
                 true
-            }
-        }
-    }
-
-    /// Re-activates a variable removed by variable elimination: its original
-    /// clauses are added back (restoring any variables *they* mention that
-    /// were eliminated later, recursively).
-    fn restore_eliminated_var(&mut self, var: Var) {
-        if !self.eliminated[var.index()] {
-            return;
-        }
-        self.eliminated[var.index()] = false;
-        let pos = self
-            .elim_stack
-            .iter()
-            .rposition(|(v, _)| *v == var)
-            .expect("eliminated variable has a stack entry");
-        let (_, clauses) = self.elim_stack.remove(pos);
-        for lits in clauses {
-            // `add_clause` restores nested eliminated variables itself.
-            self.add_clause(lits);
-            if !self.ok {
-                return;
             }
         }
     }
@@ -530,7 +456,7 @@ impl Solver {
     }
 
     fn clause_decay_activity(&mut self) {
-        self.cla_inc /= self.config.clause_decay;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     /// Unit propagation. Returns the conflicting clause, if any.
@@ -861,7 +787,7 @@ impl Solver {
                 }
                 if self.db.num_learnt as f64 > self.max_learnt {
                     self.reduce_db();
-                    self.max_learnt *= self.config.learntsize_inc;
+                    self.max_learnt *= LEARNTSIZE_INC;
                 }
                 // Apply pending assumptions as decisions.
                 let mut next: Option<Lit> = None;
@@ -942,16 +868,6 @@ impl Solver {
         }
         for lit in assumptions {
             self.ensure_vars(lit.var().index() + 1);
-            // Assumption variables must survive variable elimination: freeze
-            // them forever, and restore any that were eliminated before this
-            // call first assumed them.
-            self.frozen[lit.var().index()] = true;
-            if self.eliminated[lit.var().index()] {
-                self.restore_eliminated_var(lit.var());
-                if !self.ok {
-                    return SolveResult::Unsat;
-                }
-            }
         }
         // A level-0 boundary: run scheduled inprocessing before the search.
         self.maybe_inprocess();
@@ -959,8 +875,7 @@ impl Solver {
             return SolveResult::Unsat;
         }
         if self.max_learnt <= 0.0 {
-            self.max_learnt =
-                (self.num_original_clauses as f64 * self.config.learntsize_factor).max(1000.0);
+            self.max_learnt = (self.num_original_clauses as f64 * LEARNTSIZE_FACTOR).max(1000.0);
         }
         let mut restarts = 0u64;
         let result = loop {
@@ -980,14 +895,13 @@ impl Solver {
             }
         };
         let outcome = if result {
-            let mut values: Vec<bool> = (0..self.num_vars())
+            let values: Vec<bool> = (0..self.num_vars())
                 .map(|i| match self.assigns[i] {
                     LBool::True => true,
                     LBool::False => false,
                     LBool::Undef => self.phase[i],
                 })
                 .collect();
-            self.extend_model(&mut values);
             let model = Model { values };
             self.last_model = Some(model.clone());
             SolveResult::Sat(model)
@@ -996,30 +910,6 @@ impl Solver {
         };
         self.cancel_until(0);
         outcome
-    }
-
-    /// Assigns every eliminated variable a value satisfying its stored
-    /// clauses (walking the elimination stack in reverse, so variables
-    /// eliminated later — whose clauses may mention variables eliminated
-    /// earlier — are fixed first... the other way around: clauses stored for
-    /// an *earlier* elimination may mention variables eliminated *later*,
-    /// so the later ones must be decided first).
-    fn extend_model(&self, values: &mut [bool]) {
-        for (var, clauses) in self.elim_stack.iter().rev() {
-            // Try the current tentative value; flip if any stored clause is
-            // falsified (resolution guarantees one of the two values works).
-            let satisfied = |values: &[bool], lits: &[Lit]| {
-                lits.iter()
-                    .any(|l| values[l.var().index()] ^ l.is_negative())
-            };
-            if clauses.iter().any(|c| !satisfied(values, c)) {
-                values[var.index()] = !values[var.index()];
-            }
-            debug_assert!(
-                clauses.iter().all(|c| satisfied(values, c)),
-                "variable elimination must be model-extendable"
-            );
-        }
     }
 
     /// The final conflict of the last failed `solve_with_assumptions` call:
@@ -1278,6 +1168,163 @@ mod tests {
         }
         s.add_clause([neg(2)]);
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn session_retains_state_between_calls() {
+        let mut s = Solver::new();
+        s.ensure_vars(3);
+        s.add_clause([pos(0), pos(1), pos(2)]);
+        assert!(s.solve().is_sat());
+        s.add_clause([neg(0)]);
+        s.add_clause([neg(1)]);
+        match s.solve() {
+            SolveResult::Sat(m) => assert!(m.value(Var::from_index(2))),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        assert_eq!(s.stats().solve_calls, 2);
+        assert_eq!(s.stats().incremental_calls, 1);
+    }
+
+    /// Regression test: assumptions and final unsat cores stay correct after
+    /// interleaved incremental clause additions (the access pattern of the
+    /// incremental OLL MaxSAT session).
+    #[test]
+    fn assumptions_and_cores_survive_interleaved_clause_additions() {
+        let mut s = Solver::new();
+        s.ensure_vars(4);
+        s.add_clause([pos(0), pos(1)]);
+        // Assuming both disjuncts false is a contradiction...
+        let unsat = s.solve_with_assumptions(&[neg(0), neg(1)]);
+        assert_eq!(unsat, SolveResult::Unsat);
+        let core = s.unsat_core().to_vec();
+        assert!(!core.is_empty());
+        assert!(core.iter().all(|l| *l == neg(0) || *l == neg(1)));
+        // ...but the solver stays usable.
+        assert!(s.is_ok());
+        assert!(s.solve().is_sat());
+
+        // Interleave: add an implication, then query under assumptions that
+        // contradict it.
+        s.add_clause([neg(0), pos(2)]);
+        let unsat = s.solve_with_assumptions(&[pos(0), neg(2)]);
+        assert_eq!(unsat, SolveResult::Unsat);
+        let core = s.unsat_core().to_vec();
+        assert!(!core.is_empty());
+        assert!(core.iter().all(|l| *l == pos(0) || *l == neg(2)));
+
+        // Interleave again: force x1 false so (x0 ∨ x1) now implies x0; the
+        // assumption ¬x0 must fail with a core naming exactly that assumption.
+        s.add_clause([neg(1)]);
+        let unsat = s.solve_with_assumptions(&[neg(0)]);
+        assert_eq!(unsat, SolveResult::Unsat);
+        assert_eq!(s.unsat_core(), &[neg(0)]);
+
+        // SAT queries still work and respect everything added so far.
+        match s.solve() {
+            SolveResult::Sat(m) => {
+                assert!(m.value(Var::from_index(0)));
+                assert!(!m.value(Var::from_index(1)));
+                assert!(m.value(Var::from_index(2)));
+            }
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        assert!(s.stats().incremental_calls >= 4);
+    }
+
+    #[test]
+    fn learnt_clauses_are_counted_as_reused_on_warm_starts() {
+        // A pigeonhole-style core forces real conflict-driven learning, so
+        // the second call starts with a non-empty learnt database.
+        let mut s = Solver::new();
+        let var = |i: usize, j: usize| Var::from_index(i * 3 + j);
+        s.ensure_vars(12);
+        for i in 0..4 {
+            s.add_clause((0..3).map(|j| Lit::positive(var(i, j))));
+        }
+        for j in 0..3 {
+            for i1 in 0..4 {
+                for i2 in (i1 + 1)..4 {
+                    s.add_clause([Lit::negative(var(i1, j)), Lit::negative(var(i2, j))]);
+                }
+            }
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert!(s.num_learnt() > 0);
+        let _ = s.solve();
+        assert!(s.stats().learnt_reused > 0);
+    }
+
+    /// Regression test for the arena refactor: interleaves solve calls,
+    /// clause additions, forced inprocessing rounds and arena compactions,
+    /// asserting after every step that watch lists and reason references
+    /// still point at live clauses and that the per-call counter deltas stay
+    /// monotone.
+    #[test]
+    fn arena_compaction_and_inprocessing_survive_an_incremental_session() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut s = Solver::new();
+        let mut rng = StdRng::seed_from_u64(2020);
+        let num_vars = 40;
+        s.ensure_vars(num_vars);
+        let mut checkpoint = SolverStats::default();
+        let mut cumulative = SolverStats::default();
+        let mut models = 0usize;
+        for round in 0..60 {
+            // Grow the formula: a few random ternary clauses per round (the
+            // blocking-clause enumeration access pattern).
+            for _ in 0..4 {
+                let mut clause = Vec::new();
+                for _ in 0..3 {
+                    let v = Var::from_index(rng.gen_range(0..num_vars));
+                    clause.push(Lit::new(v, rng.gen_bool(0.5)));
+                }
+                if !s.add_clause(clause) {
+                    break;
+                }
+            }
+            if !s.is_ok() {
+                break;
+            }
+            let assumption = Lit::new(
+                Var::from_index(rng.gen_range(0..num_vars)),
+                rng.gen_bool(0.5),
+            );
+            match s.solve_with_assumptions(&[assumption]) {
+                SolveResult::Sat(_) => models += 1,
+                SolveResult::Unsat => {}
+                SolveResult::Interrupted => panic!("no interrupt installed"),
+            }
+            // Periodically force the maintenance paths the refactor touched.
+            if round % 7 == 3 {
+                s.inprocess_now();
+            }
+            if round % 11 == 5 {
+                s.compact_clauses();
+            }
+            s.assert_integrity();
+            // Per-call deltas must be non-negative (delta_since would
+            // underflow-panic in debug builds) and sum to the running total.
+            let delta = s.stats().delta_since(&checkpoint);
+            checkpoint = *s.stats();
+            cumulative = cumulative.merged(&delta);
+            assert_eq!(cumulative.solve_calls, s.stats().solve_calls);
+            assert_eq!(cumulative.conflicts, s.stats().conflicts);
+            assert_eq!(cumulative.propagations, s.stats().propagations);
+            assert_eq!(cumulative.inprocess_rounds, s.stats().inprocess_rounds);
+            assert_eq!(cumulative.arena_compactions, s.stats().arena_compactions);
+        }
+        assert!(models > 0, "the solver must see satisfiable rounds");
+        assert!(
+            s.stats().arena_compactions > 0,
+            "forced compactions must be counted"
+        );
+        assert!(
+            s.stats().inprocess_rounds > 0,
+            "forced inprocessing rounds must be counted"
+        );
     }
 
     #[test]

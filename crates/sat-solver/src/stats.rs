@@ -20,7 +20,7 @@ pub struct SolverStats {
     /// Number of top-level `solve` / `solve_with_assumptions` calls.
     pub solve_calls: u64,
     /// Number of solve calls that reused state from an earlier call on the
-    /// same solver (warm starts within a [`Session`](crate::Session)).
+    /// same solver (warm starts of an incremental solver).
     pub incremental_calls: u64,
     /// Total learnt clauses already present in the database at the start of
     /// the warm-started solve calls — the clauses an incremental session
@@ -31,8 +31,7 @@ pub struct SolverStats {
     /// Clauses strengthened by inprocessing (level-0 literal removal and
     /// self-subsuming resolution; counts removed literals).
     pub inprocess_strengthened: u64,
-    /// Clauses removed by inprocessing (satisfied at level 0, subsumed, or
-    /// consumed by variable elimination).
+    /// Clauses removed by inprocessing (satisfied at level 0 or subsumed).
     pub inprocess_removed: u64,
     /// Number of clause-arena compactions (each rewrites the watch lists and
     /// reason references in place).

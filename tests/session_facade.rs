@@ -8,6 +8,7 @@ mod common;
 
 use common::bundled_trees;
 
+use fault_tree::{FaultTree, FaultTreeBuilder, NodeId};
 use ft_backend::{backend_for, BackendConfig, BackendError, BackendKind};
 use ft_session::{AnalysisService, Analyzer, Budget, CancelToken, SessionError, Termination};
 
@@ -118,6 +119,54 @@ fn streaming_is_byte_identical_to_collected_on_all_bundled_trees() {
         for (s, c) in streamed.iter().zip(&collected.solutions) {
             assert_eq!(key(s), key(c), "{name}: streamed solutions diverged");
         }
+    }
+}
+
+/// A tree with no proper module: 48 events `eᵢ` (p = 0.01 + 0.0017·i), six
+/// OR gates over 16 consecutive events starting at `8j` (mod 48), and an AND
+/// on top. Its cut-set family is far too large to enumerate in seconds.
+fn ring_tree() -> FaultTree {
+    let mut b = FaultTreeBuilder::new("ring");
+    let events: Vec<NodeId> = (0..48)
+        .map(|i| {
+            b.basic_event(format!("e{i}"), 0.01 + 0.0017 * i as f64)
+                .unwrap()
+                .into()
+        })
+        .collect();
+    let windows: Vec<NodeId> = (0..6)
+        .map(|j| {
+            let inputs: Vec<NodeId> = (0..16).map(|k| events[(8 * j + k) % 48]).collect();
+            b.or_gate(format!("w{j}"), inputs).unwrap().into()
+        })
+        .collect();
+    let top = b.and_gate("top", windows).unwrap();
+    b.build(top.into()).unwrap()
+}
+
+/// A delegated engine stopped by its deadline streams the prefix it proved
+/// — the canonical prefix an unbudgeted query reports — and only then ends
+/// with the deadline.
+#[test]
+fn deadline_stopped_delegated_streams_yield_their_proven_prefix() {
+    let tree = ring_tree();
+    let analyzer = Analyzer::for_tree(tree.clone())
+        .preprocess(true)
+        .budget(Budget::wall_ms(2_000));
+    assert!(!analyzer.uses_warm_session(), "preprocessing delegates");
+    let mut stream = analyzer.stream();
+    let streamed: Vec<_> = stream
+        .by_ref()
+        .map(|item| item.expect("a stop is not an error"))
+        .collect();
+    assert_eq!(stream.termination(), Some(Termination::Deadline));
+    assert!(!streamed.is_empty(), "the proven prefix must be streamed");
+    let reference = Analyzer::for_tree(tree)
+        .top_k(streamed.len())
+        .expect("the ring tree has cut sets");
+    assert_eq!(reference.solutions.len(), streamed.len());
+    for (s, r) in streamed.iter().zip(&reference.solutions) {
+        assert_eq!(key(s), key(r), "streamed solutions diverged");
     }
 }
 
