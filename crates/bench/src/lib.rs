@@ -251,12 +251,15 @@ pub fn baselines(sizes: &[usize], seed: u64) -> String {
     out
 }
 
-/// E4 — the Step 5 ablation: portfolio vs each single configuration.
+/// E4 — the Step 5 ablation: portfolio vs each single configuration, on
+/// every generator family. Asserts that all configurations agree on the
+/// optimum, so the or-heavy and shared-modules families also check OLL's
+/// grown totalizers on wide cores against linear SAT–UNSAT.
 pub fn portfolio(sizes: &[usize], seed: u64) -> String {
     let mut out = String::new();
     out.push_str("# E4 — parallel portfolio vs single solver configurations\n");
     out.push_str("family        target  portfolio_ms  oll_ms     linear_su_ms\n");
-    for family in [Family::RandomMixed, Family::AndHeavy] {
+    for family in Family::all() {
         for &size in sizes {
             let tree = family.generate(size, seed);
             let mut times = Vec::new();

@@ -16,7 +16,7 @@
 //! runnable example live on the [`IncrementalMaxSat`] type itself.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use sat_solver::{InterruptHook, Lit, SolveResult, Solver, SolverStats};
@@ -36,10 +36,9 @@ use crate::result::{MaxSatOutcome, MaxSatResult, MaxSatStats};
 ///
 /// The budget is deliberately small: healthy warm-started queries in the
 /// enumeration workloads need a handful of cores, while a degenerate one
-/// burns thousands — and each wasted core in the degenerate regime is
-/// expensive (the assumption set has exploded), so detecting early matters
-/// more than avoiding a rare false positive (whose cost is just one
-/// from-scratch solve, the historical behaviour).
+/// burns thousands, each a SAT call that lifts the bound by a sliver — so
+/// detecting early matters more than avoiding a rare false positive (whose
+/// cost is just one from-scratch solve, the historical behaviour).
 const COMPACTION_CORE_BUDGET: u64 = 64;
 
 /// How one [`IncrementalMaxSat::solve_within`] call ended.
@@ -66,12 +65,20 @@ pub enum BoundedSolve {
 /// Created via [`IncrementalMaxSat::new`], [`IncrementalMaxSat::with_config`]
 /// or [`IncrementalMaxSat::owned`].
 ///
-/// Soundness rests on two standard properties of OLL/RC2: the core
-/// reformulation (totalizer counting + weight splitting) is cost-preserving
-/// for *every* model, not just the optimal one, so the lower bound and
-/// residual weights stay valid when added hard clauses remove models; and
-/// added hard clauses only strengthen the formula, so hardened singleton
-/// cores (clauses implied by the hard part) remain implied.
+/// Soundness rests on three properties of OLL/RC2. First, each core is
+/// relaxed with a totalizer that counts only up to "at most one member
+/// violated" and grows one count at a time when a later core needs the next
+/// one, so the reformulation (lower bound plus residual weights of the
+/// violated assumptions) is a *relaxation*: it never exceeds the cost of any
+/// model. The lower bound is therefore valid for *every* model, not just
+/// the optimal one, and stays valid when added hard clauses remove models.
+/// Second, a model that satisfies every assumption costs exactly the lower
+/// bound: every count a totalizer has not fully paid for lies above its
+/// lowest sum assumption that still carries weight, which such a model
+/// satisfies. That is all [`solve_within`](IncrementalMaxSat::solve_within)
+/// relies on. Third, added hard clauses only strengthen the formula, so
+/// hardened singleton cores (clauses implied by the hard part) remain
+/// implied.
 ///
 /// Reuse is a heuristic, not a guarantee: accumulating the reformulation
 /// across many optima can fragment the residual weights until a query
@@ -122,6 +129,11 @@ pub struct IncrementalMaxSat<'a> {
     /// Residual soft weights per assumption literal (OLL reformulation
     /// state, shared across calls).
     weights: BTreeMap<Lit, u64>,
+    /// One totalizer per relaxed core, each built up to the largest count
+    /// the search has needed so far.
+    totalizers: Vec<Totalizer>,
+    /// Each sum assumption `¬o_b`: its totalizer's index and the count `b`.
+    sums: HashMap<Lit, (usize, usize)>,
     /// Lower bound established so far; carried across calls, re-derived
     /// after a compaction.
     lower_bound: u64,
@@ -183,6 +195,8 @@ impl<'a> IncrementalMaxSat<'a> {
             instance,
             added_hard: Vec::new(),
             weights,
+            totalizers: Vec::new(),
+            sums: HashMap::new(),
             lower_bound: baseline,
             config,
             retired: SolverStats::default(),
@@ -345,6 +359,14 @@ impl<'a> IncrementalMaxSat<'a> {
                             }
                         }
                     }
+                    // A sum assumption ¬o_b in the core lets its totalizer
+                    // count b, so the next count takes over the w_min just
+                    // paid (RC2's rule, also when ¬o_b keeps some weight).
+                    for lit in &core {
+                        if let Some(&(index, bound)) = self.sums.get(lit) {
+                            self.charge_sum(index, bound + 1, w_min);
+                        }
+                    }
                     if core.len() == 1 {
                         // A singleton core's literal is implied by the hard
                         // clauses: harden it.
@@ -353,20 +375,34 @@ impl<'a> IncrementalMaxSat<'a> {
                         // Count how many core members are violated; paying
                         // w_min once is already accounted for in the lower
                         // bound, every additional violation costs w_min more.
-                        // The totalizer is grown in place inside the live
-                        // solver — never re-encoded.
+                        // The totalizer starts at "at most one violated" and
+                        // grows inside the live solver when a later core
+                        // needs the next count — never re-encoded.
                         let violated: Vec<Lit> = core.iter().map(|&l| !l).collect();
-                        let totalizer = Totalizer::build(&mut self.solver, &violated);
-                        for bound in 2..=violated.len() {
-                            let output = totalizer.at_least(bound);
-                            *self.weights.entry(!output).or_insert(0) += w_min;
-                        }
+                        self.totalizers
+                            .push(Totalizer::build(&mut self.solver, &violated, 2));
+                        self.charge_sum(self.totalizers.len() - 1, 2, w_min);
                     }
                 }
             }
         };
         self.suspended = Some(stats);
         early_end
+    }
+
+    /// Adds `weight` to the sum assumption `¬o_bound` ("fewer than `bound`
+    /// members violated") of totalizer `index`, growing the totalizer to
+    /// `bound` first. A core never has more violated members than it has
+    /// members, so a bound above that needs no assumption.
+    fn charge_sum(&mut self, index: usize, bound: usize, weight: u64) {
+        let totalizer = &mut self.totalizers[index];
+        if bound > totalizer.len() {
+            return;
+        }
+        totalizer.increase(&mut self.solver, bound);
+        let sum = !totalizer.at_least(bound);
+        self.sums.insert(sum, (index, bound));
+        *self.weights.entry(sum).or_insert(0) += weight;
     }
 
     /// Retires the current solver and rebuilds the reformulation state from
@@ -381,6 +417,8 @@ impl<'a> IncrementalMaxSat<'a> {
         solver.set_interrupt(self.interrupt.clone());
         self.solver = solver;
         self.weights = weights;
+        self.totalizers.clear();
+        self.sums.clear();
         self.lower_bound = baseline;
         self.compaction_allowed = false;
     }
@@ -562,6 +600,79 @@ mod tests {
             assert_eq!(stepped.calls(), plain.calls(), "seed {seed}");
         }
         assert!(stops > 0, "some bounded call must stop above its bound");
+    }
+
+    /// A wide core is relaxed with "at most one violated" only: one hard
+    /// clause over 400 events yields one 400-member core, and the solver
+    /// ends with fewer than 5 original clauses per member (a full totalizer
+    /// over the core holds about 83,000).
+    #[test]
+    fn a_wide_core_costs_a_linear_relaxation() {
+        let n = 400;
+        let mut inst = WcnfInstance::with_vars(n);
+        inst.add_hard((0..n).map(pos));
+        for i in 0..n {
+            inst.add_soft([neg(i)], 1000 + i as u64);
+        }
+        let mut session = IncrementalMaxSat::new(&inst);
+        let result = session.solve();
+        assert_eq!(result.outcome.cost(), Some(1000));
+        assert_eq!(result.stats.cores, 1);
+        let clauses = session.solver.clauses().filter(|c| !c.is_learnt()).count();
+        assert!(clauses < 5 * n, "{clauses} clauses for a {n}-member core");
+    }
+
+    /// "At least `m` of the `n` events" as hard clauses (every `n − m + 1`
+    /// events hold one true), with softs ¬xᵢ of random weights: every
+    /// optimum violates `m` members of the first core.
+    fn at_least_instance(seed: u64, n: usize, m: usize) -> WcnfInstance {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut inst = WcnfInstance::with_vars(n);
+        for mask in 0u32..(1 << n) {
+            if mask.count_ones() as usize == n - m + 1 {
+                inst.add_hard((0..n).filter(|i| mask & (1 << i) != 0).map(pos));
+            }
+        }
+        for i in 0..n {
+            inst.add_soft([neg(i)], rng.gen_range(1..=20));
+        }
+        inst
+    }
+
+    /// Optima that violate three or more members of one core grow a sum
+    /// past bound 3, and still match the exhaustive optimum — one-shot and
+    /// after each blocking clause.
+    #[test]
+    fn grown_sums_keep_optima_exact() {
+        let mut grown_past_three = 0;
+        for seed in 0..12 {
+            let m = 3 + (seed % 3) as usize;
+            let inst = at_least_instance(seed, 7, m);
+            let mut grown = inst.clone();
+            let mut session = IncrementalMaxSat::new(&inst);
+            for _ in 0..4 {
+                let result = session.solve();
+                assert_eq!(
+                    result.outcome.cost(),
+                    brute_force_optimum(&grown),
+                    "seed {seed} m {m}"
+                );
+                if session.totalizers.iter().any(|t| t.bound() > 3) {
+                    grown_past_three += 1;
+                }
+                let Some(model) = result.outcome.model().map(<[bool]>::to_vec) else {
+                    break;
+                };
+                let block: Vec<Lit> = (0..inst.num_vars())
+                    .map(|i| Lit::new(Var::from_index(i), model[i]))
+                    .collect();
+                session.add_hard(block.clone());
+                grown.add_hard(block);
+            }
+        }
+        assert!(grown_past_three > 0, "no sum grew past bound 3");
     }
 
     /// Compaction keeps answers and cumulative counters intact: a

@@ -11,7 +11,8 @@
 //! * [`OllSolver`] — core-guided OLL/RC2-style search. Repeatedly solves under
 //!   the assumption that every remaining soft clause holds; each unsatisfiable
 //!   core raises the lower bound and is reformulated with a totalizer counting
-//!   how many of its members are violated. Very effective when the optimum
+//!   how many of its members are violated, grown one count at a time as later
+//!   cores need it. Very effective when the optimum
 //!   violates only a few soft clauses — exactly the situation of minimal cut
 //!   sets, which are small.
 //! * [`LinearSuSolver`] — model-improving linear SAT–UNSAT search. Finds any

@@ -4,8 +4,12 @@
 //! remaining soft constraint holds (passed as assumptions). Each
 //! unsatisfiable core raises the lower bound by the smallest weight in the
 //! core and is reformulated: a totalizer counts how many core members are
-//! violated, and "more than one violated" becomes a new (cheaper) soft
-//! constraint. The first satisfiable call yields a provably optimal model.
+//! violated, and "at most one violated" becomes a new (cheaper) soft
+//! constraint. When that constraint lands in a later core, the totalizer
+//! grows by one count and "at most two violated" takes over, and so on, so a
+//! wide core costs clauses in proportion to the violations the search
+//! actually needs. The first satisfiable call yields a provably optimal
+//! model.
 //!
 //! This strategy shines when the optimum violates few soft clauses — which is
 //! exactly the minimal-cut-set setting, where solutions contain a handful of
