@@ -288,33 +288,44 @@ pub fn portfolio(sizes: &[usize], seed: u64) -> String {
     out
 }
 
-/// E6 — encoding ablation: direct vs success-tree encoding and weight-quantum
-/// sweep.
+/// E6 — encoding ablation: direct vs success-tree encoding on every
+/// generator family, and a weight-quantum sweep. Asserts that both
+/// encodings agree on the optimum's probability, which checks the encoder's
+/// dual (success-tree) walk on trees of hundreds of nodes.
 pub fn encodings(sizes: &[usize], seed: u64) -> String {
     let mut out = String::new();
     out.push_str("# E6 — encoding ablation (direct vs success-tree, weight quantum)\n");
-    out.push_str("target  direct_ms  success_tree_ms  same_probability\n");
-    for &size in sizes {
-        let tree = Family::RandomMixed.generate(size, seed);
-        let direct = MpmcsSolver::with_options(MpmcsOptions {
+    out.push_str("family          target  direct_ms  success_tree_ms  probability\n");
+    let solver = |encoding| {
+        MpmcsSolver::with_options(MpmcsOptions {
             algorithm: AlgorithmChoice::Oll,
-            encoding: EncodingStyle::Direct,
+            encoding,
             ..MpmcsOptions::new()
-        });
-        let success = MpmcsSolver::with_options(MpmcsOptions {
-            algorithm: AlgorithmChoice::Oll,
-            encoding: EncodingStyle::SuccessTree,
-            ..MpmcsOptions::new()
-        });
-        let (a, ta) = timed(|| direct.solve(&tree).expect("solvable"));
-        let (b, tb) = timed(|| success.solve(&tree).expect("solvable"));
-        out.push_str(&format!(
-            "{:<7} {:<10.2} {:<16.2} {}\n",
-            size,
-            ms(ta),
-            ms(tb),
-            relative_eq(a.probability, b.probability)
-        ));
+        })
+    };
+    let direct = solver(EncodingStyle::Direct);
+    let success = solver(EncodingStyle::SuccessTree);
+    for family in Family::all() {
+        for &size in sizes {
+            let tree = family.generate(size, seed);
+            let (a, ta) = timed(|| direct.solve(&tree).expect("generated trees have cut sets"));
+            let (b, tb) = timed(|| success.solve(&tree).expect("generated trees have cut sets"));
+            assert!(
+                relative_eq(a.probability, b.probability),
+                "{} {size}: the direct ({}) and success-tree ({}) optima differ",
+                family.name(),
+                a.probability,
+                b.probability
+            );
+            out.push_str(&format!(
+                "{:<15} {:<7} {:<10.2} {:<16.2} {:.6e}\n",
+                family.name(),
+                size,
+                ms(ta),
+                ms(tb),
+                a.probability
+            ));
+        }
     }
     let sweep_size = sizes.iter().copied().max().unwrap_or(500);
     out.push_str(&format!(

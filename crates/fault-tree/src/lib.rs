@@ -11,12 +11,16 @@
 //!
 //! * a validating [`FaultTreeBuilder`],
 //! * conversion to a Boolean [`StructureFormula`] (via [`StructureFormula::of`])
-//!   and to the complemented *success tree* (paper Step 1),
+//!   and to the complemented *success tree* (paper Step 1) — the semantic
+//!   reference of the `mpmcs` encoder, which walks the gates straight to
+//!   clauses,
 //! * [`CutSet`] types with joint-probability computation and minimality
 //!   checks,
 //! * structural analysis (single points of failure, depth, statistics),
 //! * parsers and writers for the Galileo textual format and a JSON format
-//!   mirroring the original MPMCS4FTA tool,
+//!   mirroring the original MPMCS4FTA tool (both resolve names borrowed from
+//!   their input through one map; a tree builds its own name index only on
+//!   the first [`FaultTree::event_by_name`] or [`FaultTree::gate_by_name`]),
 //! * the worked examples of the paper (the cyber-physical fire protection
 //!   system of Fig. 1) under [`examples`].
 //!

@@ -12,8 +12,10 @@
 //! ```
 //!
 //! Lines end with `;`; names may be double-quoted or bare; `//` starts a
-//! comment. Only the static subset (AND, OR, `k of n`, `prob=`) is supported —
-//! dynamic gates (SPARE, FDEP, PAND) are out of scope for this reproduction.
+//! comment; keywords (`toplevel`, `and`, `or`, `kofn`, `prob=`, `lambda=`,
+//! `mu=`) match ignoring ASCII case. Only the static subset (AND, OR,
+//! `k of n`, `prob=`) is supported — dynamic gates (SPARE, FDEP, PAND) are
+//! out of scope for this reproduction.
 //!
 //! Basic events may alternatively be rate-parameterised: `"x" lambda=0.1;`
 //! declares an exponential failure law `p(t) = 1 − exp(−λt)` and `"x"
@@ -23,6 +25,7 @@
 //! sweeps re-evaluate it per timepoint.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::FaultTreeError;
 use crate::event::{BasicEvent, EventId, FailureModel};
@@ -30,24 +33,78 @@ use crate::gate::{Gate, GateId, GateKind};
 use crate::probability::Probability;
 use crate::tree::{FaultTree, NodeId};
 
-/// Intermediate name-keyed node representation shared with the JSON parser.
-#[derive(Debug, Clone)]
-pub(crate) enum RawNode {
-    /// A gate with a kind and named inputs.
-    Gate {
-        /// The logical function of the gate.
+/// The nodes a parser declared, in declaration order, with their names
+/// borrowed from the parser's input (shared with the JSON parser).
+///
+/// Events and gates are numbered separately in declaration order, so a
+/// declaration fixes its node's identifier at once, and one map resolves
+/// every name, forward references included, once all nodes are declared.
+#[derive(Default)]
+pub(crate) struct RawNodes<'a> {
+    ids: HashMap<&'a str, NodeId>,
+    events: Vec<RawEvent<'a>>,
+    gates: Vec<RawGate<'a>>,
+    /// The input names of every gate, each gate's as one range.
+    inputs: Vec<&'a str>,
+}
+
+/// A declared basic event. Its probability is checked when the tree is
+/// built, once every declaration has been read.
+pub(crate) struct RawEvent<'a> {
+    /// The event name.
+    pub(crate) name: &'a str,
+    /// Explicit probability of occurrence, when given. When absent, the base
+    /// probability is derived from the model.
+    pub(crate) probability: Option<f64>,
+    /// Time-dependent failure law, when given.
+    pub(crate) model: Option<FailureModel>,
+    /// Free-form description, when given.
+    pub(crate) description: Option<&'a str>,
+}
+
+struct RawGate<'a> {
+    name: &'a str,
+    kind: GateKind,
+    inputs: Range<usize>,
+}
+
+impl<'a> RawNodes<'a> {
+    /// Fails with [`FaultTreeError::DuplicateName`] when `name` is declared.
+    pub(crate) fn check_fresh(&self, name: &str) -> Result<(), FaultTreeError> {
+        if self.ids.contains_key(name) {
+            Err(FaultTreeError::DuplicateName {
+                name: name.to_string(),
+            })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Declares a basic event under a name that [`RawNodes::check_fresh`]
+    /// accepted.
+    pub(crate) fn declare_event(&mut self, event: RawEvent<'a>) {
+        let id = EventId::from_index(self.events.len());
+        self.ids.insert(event.name, NodeId::Event(id));
+        self.events.push(event);
+    }
+
+    /// Declares a gate under a name that [`RawNodes::check_fresh`] accepted.
+    pub(crate) fn declare_gate(
+        &mut self,
+        name: &'a str,
         kind: GateKind,
-        /// Names of the input nodes.
-        inputs: Vec<String>,
-    },
-    /// A basic event with a probability and/or a time-dependent failure law.
-    Event {
-        /// Explicit probability of occurrence, when given. When absent, the
-        /// base probability is derived from the model.
-        probability: Option<f64>,
-        /// Time-dependent failure law, when given.
-        model: Option<FailureModel>,
-    },
+        inputs: impl IntoIterator<Item = &'a str>,
+    ) {
+        let id = GateId::from_index(self.gates.len());
+        self.ids.insert(name, NodeId::Gate(id));
+        let start = self.inputs.len();
+        self.inputs.extend(inputs);
+        self.gates.push(RawGate {
+            name,
+            kind,
+            inputs: start..self.inputs.len(),
+        });
+    }
 }
 
 fn parse_error(line: usize, message: impl Into<String>) -> FaultTreeError {
@@ -57,39 +114,48 @@ fn parse_error(line: usize, message: impl Into<String>) -> FaultTreeError {
     }
 }
 
-fn tokenize(line: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '"' => {
-                chars.next();
-                let mut name = String::new();
-                for ch in chars.by_ref() {
-                    if ch == '"' {
-                        break;
-                    }
-                    name.push(ch);
+/// Splits a line into tokens borrowed from it: a double-quoted name runs to
+/// the next quote (or to the end of the line), a bare token to the next
+/// whitespace or quote.
+fn tokenize<'a>(line: &'a str, tokens: &mut Vec<&'a str>) {
+    tokens.clear();
+    let mut rest = line.trim_start();
+    while !rest.is_empty() {
+        if let Some(quoted) = rest.strip_prefix('"') {
+            match quoted.find('"') {
+                Some(end) => {
+                    tokens.push(&quoted[..end]);
+                    rest = &quoted[end + 1..];
                 }
-                tokens.push(name);
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            _ => {
-                let mut token = String::new();
-                while let Some(&ch) = chars.peek() {
-                    if ch.is_whitespace() || ch == '"' {
-                        break;
-                    }
-                    token.push(ch);
-                    chars.next();
+                None => {
+                    tokens.push(quoted);
+                    rest = "";
                 }
-                tokens.push(token);
             }
+        } else {
+            let end = rest
+                .find(|c: char| c.is_whitespace() || c == '"')
+                .unwrap_or(rest.len());
+            tokens.push(&rest[..end]);
+            rest = &rest[end..];
         }
+        rest = rest.trim_start();
     }
-    tokens
+}
+
+/// `token` without the ASCII `prefix`, matched ignoring ASCII case.
+fn strip_keyword<'a>(token: &'a str, prefix: &str) -> Option<&'a str> {
+    let head = token.get(..prefix.len())?;
+    head.eq_ignore_ascii_case(prefix)
+        .then(|| &token[prefix.len()..])
+}
+
+/// The byte offset of the first `of` in `token`, matched ignoring ASCII case.
+fn find_of(token: &str) -> Option<usize> {
+    token
+        .as_bytes()
+        .windows(2)
+        .position(|pair| pair.eq_ignore_ascii_case(b"of"))
 }
 
 /// Parses a fault tree from Galileo text.
@@ -100,9 +166,9 @@ fn tokenize(line: &str) -> Vec<String> {
 /// structural errors (unknown nodes, cycles, invalid thresholds) for
 /// semantically invalid trees.
 pub fn parse_galileo(input: &str) -> Result<FaultTree, FaultTreeError> {
-    let mut toplevel: Option<String> = None;
-    let mut raw: HashMap<String, RawNode> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut toplevel: Option<&str> = None;
+    let mut nodes = RawNodes::default();
+    let mut tokens: Vec<&str> = Vec::new();
 
     for (lineno, raw_line) in input.lines().enumerate() {
         let line_number = lineno + 1;
@@ -118,7 +184,7 @@ pub fn parse_galileo(input: &str) -> Result<FaultTree, FaultTreeError> {
             .strip_suffix(';')
             .ok_or_else(|| parse_error(line_number, "expected line to end with ';'"))?
             .trim();
-        let tokens = tokenize(line);
+        tokenize(line, &mut tokens);
         if tokens.is_empty() {
             continue;
         }
@@ -129,41 +195,46 @@ pub fn parse_galileo(input: &str) -> Result<FaultTree, FaultTreeError> {
                     "toplevel expects exactly one name",
                 ));
             }
-            toplevel = Some(tokens[1].clone());
+            toplevel = Some(tokens[1]);
             continue;
         }
-        let name = tokens[0].clone();
+        let name = tokens[0];
         if tokens.len() < 2 {
             return Err(parse_error(line_number, "missing node definition"));
         }
-        if raw.contains_key(&name) {
-            return Err(FaultTreeError::DuplicateName { name });
-        }
-        let second = tokens[1].to_ascii_lowercase();
-        let node = if let Some(prob_text) = second.strip_prefix("prob=") {
+        nodes.check_fresh(name)?;
+        // Keywords match ignoring ASCII case; messages quote the lower-case
+        // spelling.
+        let second = tokens[1];
+        if let Some(prob_text) = strip_keyword(second, "prob=") {
             let probability: f64 = prob_text.parse().map_err(|_| {
+                let prob_text = prob_text.to_ascii_lowercase();
                 parse_error(line_number, format!("invalid probability {prob_text:?}"))
             })?;
-            RawNode::Event {
+            nodes.declare_event(RawEvent {
+                name,
                 probability: Some(probability),
                 model: None,
-            }
-        } else if let Some(lambda_text) = second.strip_prefix("lambda=") {
+                description: None,
+            });
+        } else if let Some(lambda_text) = strip_keyword(second, "lambda=") {
             let lambda: f64 = lambda_text.parse().map_err(|_| {
+                let lambda_text = lambda_text.to_ascii_lowercase();
                 parse_error(line_number, format!("invalid failure rate {lambda_text:?}"))
             })?;
             // An optional `mu=<rate>` after the failure rate selects the
             // repairable unavailability law.
-            let mu = match tokens.get(2).map(|t| t.to_ascii_lowercase()) {
+            let mu = match tokens.get(2) {
                 None => None,
-                Some(third) => match third.strip_prefix("mu=") {
+                Some(third) => match strip_keyword(third, "mu=") {
                     Some(mu_text) => Some(mu_text.parse::<f64>().map_err(|_| {
+                        let mu_text = mu_text.to_ascii_lowercase();
                         parse_error(line_number, format!("invalid repair rate {mu_text:?}"))
                     })?),
                     None => {
                         return Err(parse_error(
                             line_number,
-                            format!("expected mu=<rate> after lambda, found {:?}", tokens[2]),
+                            format!("expected mu=<rate> after lambda, found {third:?}"),
                         ))
                     }
                 },
@@ -173,28 +244,27 @@ pub fn parse_galileo(input: &str) -> Result<FaultTree, FaultTreeError> {
                 None => FailureModel::exponential(lambda),
             }
             .map_err(|e| parse_error(line_number, e.to_string()))?;
-            RawNode::Event {
+            nodes.declare_event(RawEvent {
+                name,
                 probability: None,
                 model: Some(model),
-            }
-        } else if second == "and" || second == "or" {
-            let kind = if second == "and" {
-                GateKind::And
-            } else {
-                GateKind::Or
-            };
-            RawNode::Gate {
-                kind,
-                inputs: tokens[2..].to_vec(),
-            }
-        } else if let Some((k_text, n_text)) = second.split_once("of") {
+                description: None,
+            });
+        } else if second.eq_ignore_ascii_case("and") {
+            nodes.declare_gate(name, GateKind::And, tokens[2..].iter().copied());
+        } else if second.eq_ignore_ascii_case("or") {
+            nodes.declare_gate(name, GateKind::Or, tokens[2..].iter().copied());
+        } else if let Some(of) = find_of(second) {
+            let (k_text, n_text) = (&second[..of], &second[of + 2..]);
             let k: usize = k_text.parse().map_err(|_| {
+                let second = second.to_ascii_lowercase();
                 parse_error(line_number, format!("invalid voting threshold {second:?}"))
             })?;
             let declared_n: usize = n_text.parse().map_err(|_| {
+                let second = second.to_ascii_lowercase();
                 parse_error(line_number, format!("invalid voting arity {second:?}"))
             })?;
-            let inputs = tokens[2..].to_vec();
+            let inputs = &tokens[2..];
             if inputs.len() != declared_n {
                 return Err(parse_error(
                     line_number,
@@ -204,82 +274,62 @@ pub fn parse_galileo(input: &str) -> Result<FaultTree, FaultTreeError> {
                     ),
                 ));
             }
-            RawNode::Gate {
-                kind: GateKind::Vot { k },
-                inputs,
-            }
+            nodes.declare_gate(name, GateKind::Vot { k }, inputs.iter().copied());
         } else {
             return Err(parse_error(
                 line_number,
-                format!("unsupported gate type or attribute {:?}", tokens[1]),
+                format!("unsupported gate type or attribute {second:?}"),
             ));
-        };
-        order.push(name.clone());
-        raw.insert(name, node);
+        }
     }
 
     let toplevel = toplevel.ok_or(FaultTreeError::MissingTop)?;
-    build_tree("galileo import", &toplevel, &raw, &order)
+    build_tree("galileo import", toplevel, &nodes)
 }
 
-/// Builds a [`FaultTree`] from name-keyed raw nodes (shared with the JSON parser).
+/// Builds a [`FaultTree`] from declared nodes (shared with the JSON parser):
+/// checks the event probabilities in declaration order, then resolves the
+/// gate inputs in gate order, then the top, then validates the structure.
 pub(crate) fn build_tree(
     tree_name: &str,
     toplevel: &str,
-    raw: &HashMap<String, RawNode>,
-    order: &[String],
+    nodes: &RawNodes<'_>,
 ) -> Result<FaultTree, FaultTreeError> {
-    // Assign dense ids: events first, then gates, in declaration order.
-    let mut event_ids: HashMap<&str, EventId> = HashMap::new();
-    let mut gate_ids: HashMap<&str, GateId> = HashMap::new();
-    let mut events: Vec<BasicEvent> = Vec::new();
-    let mut gate_names: Vec<&String> = Vec::new();
-    for name in order {
-        match &raw[name] {
-            RawNode::Event { probability, model } => {
-                let base = match (probability, model) {
-                    (Some(p), _) => Probability::new(*p)?,
-                    (None, Some(model)) => model.base_probability(),
-                    (None, None) => {
-                        return Err(FaultTreeError::Parse {
-                            line: 0,
-                            message: format!(
-                                "event {name:?} needs a probability or a failure rate"
-                            ),
-                        })
-                    }
-                };
-                let id = EventId::from_index(events.len());
-                let mut event = BasicEvent::new(name.clone(), base);
-                event.set_model(*model);
-                events.push(event);
-                event_ids.insert(name, id);
+    let mut events = Vec::with_capacity(nodes.events.len());
+    for raw in &nodes.events {
+        let base = match (raw.probability, raw.model) {
+            (Some(p), _) => Probability::new(p)?,
+            (None, Some(model)) => model.base_probability(),
+            (None, None) => {
+                return Err(FaultTreeError::Parse {
+                    line: 0,
+                    message: format!("event {:?} needs a probability or a failure rate", raw.name),
+                })
             }
-            RawNode::Gate { .. } => {
-                let id = GateId::from_index(gate_names.len());
-                gate_ids.insert(name, id);
-                gate_names.push(name);
-            }
-        }
+        };
+        let mut event = match raw.description {
+            Some(description) => BasicEvent::with_description(raw.name, base, description),
+            None => BasicEvent::new(raw.name, base),
+        };
+        event.set_model(raw.model);
+        events.push(event);
     }
     let resolve = |name: &str| -> Result<NodeId, FaultTreeError> {
-        if let Some(&e) = event_ids.get(name) {
-            Ok(NodeId::Event(e))
-        } else if let Some(&g) = gate_ids.get(name) {
-            Ok(NodeId::Gate(g))
-        } else {
-            Err(FaultTreeError::UnknownNode {
+        nodes
+            .ids
+            .get(name)
+            .copied()
+            .ok_or_else(|| FaultTreeError::UnknownNode {
                 name: name.to_string(),
             })
-        }
     };
-    let mut gates: Vec<Gate> = Vec::new();
-    for name in &gate_names {
-        if let RawNode::Gate { kind, inputs } = &raw[*name] {
-            let resolved: Result<Vec<NodeId>, FaultTreeError> =
-                inputs.iter().map(|i| resolve(i)).collect();
-            gates.push(Gate::new((*name).clone(), *kind, resolved?));
-        }
+    let mut gates = Vec::with_capacity(nodes.gates.len());
+    for gate in &nodes.gates {
+        let inputs = nodes.inputs[gate.inputs.clone()]
+            .iter()
+            .map(|input| resolve(input))
+            .collect::<Result<Vec<NodeId>, FaultTreeError>>()?;
+        gates.push(Gate::new(gate.name, gate.kind, inputs));
     }
     let top = resolve(toplevel)?;
     FaultTree::from_parts(tree_name, events, gates, top)

@@ -15,14 +15,12 @@
 //! }
 //! ```
 
-use std::collections::HashMap;
-
 use crate::error::FaultTreeError;
 use crate::event::FailureModel;
 use crate::gate::GateKind;
 use crate::tree::{FaultTree, NodeId};
 
-use super::galileo::{build_tree, RawNode};
+use super::galileo::{build_tree, RawEvent, RawNodes};
 
 /// A JSON-serialisable fault-tree document.
 #[derive(Clone, Debug, PartialEq)]
@@ -92,14 +90,9 @@ impl FaultTreeDocument {
     /// probabilities or thresholds, cycles) and [`FaultTreeError::Parse`] for
     /// unknown gate kinds.
     pub fn into_tree(self) -> Result<FaultTree, FaultTreeError> {
-        let mut raw: HashMap<String, RawNode> = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
+        let mut nodes = RawNodes::default();
         for event in &self.events {
-            if raw.contains_key(&event.name) {
-                return Err(FaultTreeError::DuplicateName {
-                    name: event.name.clone(),
-                });
-            }
+            nodes.check_fresh(&event.name)?;
             let model = match (event.lambda, event.mu) {
                 (Some(lambda), Some(mu)) => Some(FailureModel::repairable(lambda, mu)?),
                 (Some(lambda), None) => Some(FailureModel::exponential(lambda)?),
@@ -123,21 +116,15 @@ impl FaultTreeDocument {
                     ),
                 });
             }
-            raw.insert(
-                event.name.clone(),
-                RawNode::Event {
-                    probability: event.probability,
-                    model,
-                },
-            );
-            order.push(event.name.clone());
+            nodes.declare_event(RawEvent {
+                name: &event.name,
+                probability: event.probability,
+                model,
+                description: event.description.as_deref(),
+            });
         }
         for gate in &self.gates {
-            if raw.contains_key(&gate.name) {
-                return Err(FaultTreeError::DuplicateName {
-                    name: gate.name.clone(),
-                });
-            }
+            nodes.check_fresh(&gate.name)?;
             let kind = match gate.kind.to_ascii_lowercase().as_str() {
                 "and" => GateKind::And,
                 "or" => GateKind::Or,
@@ -154,34 +141,9 @@ impl FaultTreeDocument {
                     })
                 }
             };
-            raw.insert(
-                gate.name.clone(),
-                RawNode::Gate {
-                    kind,
-                    inputs: gate.inputs.clone(),
-                },
-            );
-            order.push(gate.name.clone());
+            nodes.declare_gate(&gate.name, kind, gate.inputs.iter().map(String::as_str));
         }
-        let tree = build_tree(&self.name, &self.top, &raw, &order)?;
-        // Re-attach event descriptions (build_tree only keeps probabilities
-        // and failure models).
-        let mut events = tree.events().to_vec();
-        for doc in &self.events {
-            if let Some(id) = tree.event_by_name(&doc.name) {
-                if let Some(description) = &doc.description {
-                    let model = events[id.index()].model().copied();
-                    let mut event = crate::BasicEvent::with_description(
-                        doc.name.clone(),
-                        events[id.index()].probability(),
-                        description.clone(),
-                    );
-                    event.set_model(model);
-                    events[id.index()] = event;
-                }
-            }
-        }
-        FaultTree::from_parts(tree.name(), events, tree.gates().to_vec(), tree.top())
+        build_tree(&self.name, &self.top, &nodes)
     }
 
     /// Builds a document from a fault tree.

@@ -76,29 +76,55 @@ impl fmt::Display for NodeId {
 /// Construct trees with [`FaultTreeBuilder`] or one of the parsers in
 /// [`parser`](crate::parser).
 ///
-/// A built tree never changes, so its [canonical form](FaultTree::canonical)
-/// is computed at most once and kept on the tree (a clone copies it).
+/// A built tree never changes, so what is derived from it is computed at
+/// most once, on first use, and kept on the tree (a clone copies it): the
+/// name index behind [`FaultTree::event_by_name`] and
+/// [`FaultTree::gate_by_name`], and the [canonical form](FaultTree::canonical).
+/// Neither `==` nor `Debug` looks at what is kept.
 /// [`FaultTree::at_time`] is the one path that re-prices a copy, and it
 /// resets the kept form; any future method that changes a tree in place must
-/// reset it the same way.
+/// reset what it invalidates the same way.
 #[derive(Clone)]
 pub struct FaultTree {
     name: String,
     events: Vec<BasicEvent>,
     gates: Vec<Gate>,
     top: NodeId,
-    /// Name → identifier index over `events`, built once in [`from_parts`].
-    /// For duplicate names (possible through `from_parts`, never through the
-    /// builder or the parsers) the *first* occurrence wins, matching the
-    /// linear scan this index replaced.
-    event_index: HashMap<String, EventId>,
-    /// Name → identifier index over `gates` (same first-wins policy).
-    gate_index: HashMap<String, GateId>,
+    /// The name → identifier indices, filled on the first name lookup.
+    names: OnceLock<NameIndex>,
     /// The canonical form, filled on the first [`FaultTree::canonical`].
     canonical: OnceLock<CanonicalForm>,
 }
 
-// The name indices and the canonical form are derived from the declared
+/// Name → identifier indices over a tree's events and gates. For duplicate
+/// names (possible through [`FaultTree::from_parts`], never through the
+/// builder or the parsers) the *first* occurrence wins, matching the linear
+/// scan these indices replaced.
+#[derive(Clone)]
+struct NameIndex {
+    events: HashMap<String, EventId>,
+    gates: HashMap<String, GateId>,
+}
+
+impl NameIndex {
+    fn of(tree: &FaultTree) -> Self {
+        let mut events = HashMap::with_capacity(tree.events.len());
+        for (index, event) in tree.events.iter().enumerate() {
+            events
+                .entry(event.name().to_string())
+                .or_insert_with(|| EventId::from_index(index));
+        }
+        let mut gates = HashMap::with_capacity(tree.gates.len());
+        for (index, gate) in tree.gates.iter().enumerate() {
+            gates
+                .entry(gate.name().to_string())
+                .or_insert_with(|| GateId::from_index(index));
+        }
+        NameIndex { events, gates }
+    }
+}
+
+// The name index and the canonical form are derived from the declared
 // parts, so equality (and the serialised form below) is defined over those
 // parts only.
 impl PartialEq for FaultTree {
@@ -110,7 +136,7 @@ impl PartialEq for FaultTree {
     }
 }
 
-// `Debug` leaves the canonical form out too: whether it has been computed
+// `Debug` leaves the derived parts out too: whether they have been computed
 // yet is not a property of the tree.
 impl fmt::Debug for FaultTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -119,17 +145,14 @@ impl fmt::Debug for FaultTree {
             .field("events", &self.events)
             .field("gates", &self.gates)
             .field("top", &self.top)
-            .field("event_index", &self.event_index)
-            .field("gate_index", &self.gate_index)
             .finish()
     }
 }
 
 // Manual serde implementations (the derive-style macro would persist the
-// derived name indices and the canonical form): the wire format stays
-// `{name, events, gates, top}`, and deserialisation rebuilds the indices
-// through [`FaultTree::from_parts`], which also re-validates the structural
-// invariants.
+// derived name index and the canonical form): the wire format stays
+// `{name, events, gates, top}`, and deserialisation goes through
+// [`FaultTree::from_parts`], which re-validates the structural invariants.
 impl serde::Serialize for FaultTree {
     fn to_value(&self) -> serde::Value {
         let mut map = serde::Map::new();
@@ -219,15 +242,24 @@ impl FaultTree {
         (0..self.gates.len()).map(GateId::from_index)
     }
 
-    /// Finds a basic event by name (O(1) hash lookup; the index is built once
-    /// by [`FaultTree::from_parts`]).
+    /// Finds a basic event by name: an O(1) hash lookup in an index of every
+    /// event and gate name, built on the first `event_by_name` or
+    /// [`gate_by_name`](FaultTree::gate_by_name) call on this tree (or on
+    /// the tree it was cloned from) and kept on the tree. For a name that
+    /// several events share, the first of them.
     pub fn event_by_name(&self, name: &str) -> Option<EventId> {
-        self.event_index.get(name).copied()
+        self.names().events.get(name).copied()
     }
 
-    /// Finds a gate by name (O(1) hash lookup).
+    /// Finds a gate by name (O(1) hash lookup in the index of
+    /// [`event_by_name`](FaultTree::event_by_name)). For a name that several
+    /// gates share, the first of them.
     pub fn gate_by_name(&self, name: &str) -> Option<GateId> {
-        self.gate_index.get(name).copied()
+        self.names().gates.get(name).copied()
+    }
+
+    fn names(&self) -> &NameIndex {
+        self.names.get_or_init(|| NameIndex::of(self))
     }
 
     /// The tree's canonical form — the content address the analysis cache
@@ -465,25 +497,12 @@ impl FaultTree {
         gates: Vec<Gate>,
         top: NodeId,
     ) -> Result<Self, FaultTreeError> {
-        let mut event_index = HashMap::with_capacity(events.len());
-        for (index, event) in events.iter().enumerate() {
-            event_index
-                .entry(event.name().to_string())
-                .or_insert_with(|| EventId::from_index(index));
-        }
-        let mut gate_index = HashMap::with_capacity(gates.len());
-        for (index, gate) in gates.iter().enumerate() {
-            gate_index
-                .entry(gate.name().to_string())
-                .or_insert_with(|| GateId::from_index(index));
-        }
         let tree = FaultTree {
             name: name.into(),
             events,
             gates,
             top,
-            event_index,
-            gate_index,
+            names: OnceLock::new(),
             canonical: OnceLock::new(),
         };
         tree.validate()?;
@@ -852,9 +871,22 @@ mod tests {
         let tree =
             FaultTree::from_parts("dups", events, gates, NodeId::Gate(GateId::from_index(0)))
                 .unwrap();
-        assert_eq!(tree.event_by_name("dup"), Some(EventId::from_index(0)));
-        assert_eq!(tree.event_by_name("missing"), None);
-        assert_eq!(tree.gate_by_name("top"), Some(GateId::from_index(0)));
+        // Copies made before the first lookup build their own index; copies
+        // made after it keep the built one. Both answer alike.
+        let unprimed = [tree.clone(), tree.at_time(3.0)];
+        let debug = format!("{tree:?}");
+        let check = |tree: &FaultTree| {
+            assert_eq!(tree.event_by_name("dup"), Some(EventId::from_index(0)));
+            assert_eq!(tree.event_by_name("missing"), None);
+            assert_eq!(tree.event_by_name("top"), None);
+            assert_eq!(tree.gate_by_name("top"), Some(GateId::from_index(0)));
+            assert_eq!(tree.gate_by_name("dup"), None);
+        };
+        check(&tree);
+        assert_eq!(format!("{tree:?}"), debug, "Debug omits the name index");
+        for copy in unprimed.iter().chain([&tree.clone(), &tree.at_time(3.0)]) {
+            check(copy);
+        }
     }
 
     #[test]

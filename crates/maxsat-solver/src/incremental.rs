@@ -90,7 +90,8 @@ pub enum BoundedSolve {
 ///
 /// A call that ends before it completes — interrupted, or a bounded call
 /// stopped above its bound — hands its per-call counters (the compaction
-/// budget's core count included) to the next call. The result that finally
+/// budget's core count included) to the next call, and so does a
+/// [`hard_satisfiable`](IncrementalMaxSat::hard_satisfiable) probe. The result that finally
 /// completes the search therefore reports the SAT calls, cores and solver
 /// work of the whole search, and splitting a search into bounded steps
 /// issues exactly the SAT calls of one unbounded call.
@@ -149,7 +150,8 @@ pub struct IncrementalMaxSat<'a> {
     /// call (the flag rearms when a call completes).
     compaction_allowed: bool,
     /// The counters of a call that ended before completing (interrupted, or
-    /// stopped above its bound), resumed by the next call.
+    /// stopped above its bound) or solved no optimum (a satisfiability
+    /// probe), resumed by the next call.
     suspended: Option<MaxSatStats>,
     calls: u64,
     /// The cancellation probe forwarded into the SAT search loop (and
@@ -291,14 +293,40 @@ impl<'a> IncrementalMaxSat<'a> {
         self.run(&AtomicBool::new(false), bound)
     }
 
+    /// Whether the hard clauses — the instance's and every added one — still
+    /// have a model: one SAT call without assumptions, `None` when the
+    /// [interrupt hook](IncrementalMaxSat::set_interrupt) fired first.
+    ///
+    /// The session's own clauses decide this as well as the hard ones: a
+    /// totalizer or a relaxed soft only adds clauses that setting its new
+    /// variables true satisfies, and a hardened core is implied by the hard
+    /// clauses. The call solves no optimum, so like a stopped call it hands
+    /// its counters to the next call, whose result reports it.
+    pub fn hard_satisfiable(&mut self) -> Option<bool> {
+        let mut stats = self.resumed_stats();
+        stats.sat_calls += 1;
+        let satisfiable = match self.solver.solve_with_assumptions(&[]) {
+            SolveResult::Sat(_) => Some(true),
+            SolveResult::Unsat => Some(false),
+            SolveResult::Interrupted => None,
+        };
+        self.suspended = Some(stats);
+        satisfiable
+    }
+
+    /// The counters of a suspended call, or fresh ones.
+    fn resumed_stats(&mut self) -> MaxSatStats {
+        self.suspended.take().unwrap_or_else(|| MaxSatStats {
+            algorithm: "oll".to_string(),
+            ..MaxSatStats::default()
+        })
+    }
+
     /// The OLL loop shared by every solve entry point: stops above
     /// `max_cost`, or when `stop` or the interrupt hook fires, parking the
     /// call's counters for the next call.
     fn run(&mut self, stop: &AtomicBool, max_cost: u64) -> BoundedSolve {
-        let mut stats = self.suspended.take().unwrap_or_else(|| MaxSatStats {
-            algorithm: "oll".to_string(),
-            ..MaxSatStats::default()
-        });
+        let mut stats = self.resumed_stats();
         let early_end = loop {
             if self.lower_bound > max_cost {
                 break BoundedSolve::AboveBound;
@@ -673,6 +701,34 @@ mod tests {
             }
         }
         assert!(grown_past_three > 0, "no sum grew past bound 3");
+    }
+
+    /// The satisfiability probe answers for the hard clauses alone, after
+    /// cores and totalizers joined the session, and hands its SAT call to
+    /// the next result.
+    #[test]
+    fn the_satisfiability_probe_is_reported_by_the_next_call() {
+        let mut inst = WcnfInstance::with_vars(3);
+        inst.add_hard([pos(0), pos(1), pos(2)]);
+        inst.add_hard([pos(1), pos(2)]);
+        inst.add_soft([neg(0)], 9);
+        inst.add_soft([neg(1)], 2);
+        inst.add_soft([neg(2)], 5);
+        let mut session = IncrementalMaxSat::new(&inst);
+        let first = session.solve();
+        assert_eq!(first.outcome.cost(), Some(2));
+        assert!(first.stats.cores > 0, "the session holds a relaxed core");
+        session.add_hard([neg(1)]);
+        assert_eq!(session.hard_satisfiable(), Some(true));
+        let second = session.solve();
+        assert_eq!(second.outcome.cost(), Some(5));
+        assert_eq!(
+            second.stats.sat_calls,
+            second.stats.session_calls - first.stats.session_calls
+        );
+        session.add_hard([neg(2)]);
+        assert_eq!(session.hard_satisfiable(), Some(false));
+        assert_eq!(session.solve().outcome, MaxSatOutcome::Unsatisfiable);
     }
 
     /// Compaction keeps answers and cumulative counters intact: a

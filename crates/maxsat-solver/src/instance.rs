@@ -76,12 +76,10 @@ impl WcnfInstance {
         self.hard.push(clause);
     }
 
-    /// Adds all clauses of a CNF formula as hard clauses.
-    pub fn add_hard_cnf(&mut self, cnf: &CnfFormula) {
+    /// Adds all clauses of a CNF formula as hard clauses, moving them in.
+    pub fn add_hard_cnf(&mut self, cnf: CnfFormula) {
         self.ensure_vars(cnf.num_vars());
-        for clause in cnf.clauses() {
-            self.hard.push(clause.to_vec());
-        }
+        self.hard.extend(cnf.into_clauses());
     }
 
     /// Adds a soft clause with the given weight.
@@ -200,7 +198,7 @@ mod tests {
         cnf.add_clause([pos(2), neg(0)]);
         cnf.add_clause([pos(1)]);
         let mut inst = WcnfInstance::new();
-        inst.add_hard_cnf(&cnf);
+        inst.add_hard_cnf(cnf);
         assert_eq!(inst.num_hard(), 2);
         assert_eq!(inst.num_vars(), 3);
     }

@@ -1,10 +1,10 @@
 //! Steps 1–4 of the paper: from a fault tree to a Weighted Partial MaxSAT
 //! instance.
 
-use fault_tree::{CutSet, EventId, FaultTree, StructureFormula};
+use fault_tree::{CutSet, EventId, FaultTree, GateId, GateKind, NodeId};
 use maxsat_solver::WcnfInstance;
 use sat_solver::tseitin::TseitinEncoder;
-use sat_solver::{BoolExpr, Lit, Var};
+use sat_solver::{Lit, Var};
 
 /// How the hard clauses are derived from the fault tree (paper Step 1).
 ///
@@ -65,6 +65,57 @@ impl WeightScale {
     }
 }
 
+/// The Tseitin walk of [`MpmcsEncoding::with_style`] over a tree's gates.
+struct GateWalk<'t> {
+    tree: &'t FaultTree,
+    /// Whether gates are defined under their dual kind (`Y(t)`).
+    dual: bool,
+    encoder: TseitinEncoder,
+    /// The literal defined for each gate so far.
+    defined: Vec<Option<Lit>>,
+    /// A stack of input literals: a gate's inputs sit on top of it while
+    /// the gate is defined.
+    inputs: Vec<Lit>,
+}
+
+impl GateWalk<'_> {
+    /// The literal equivalent to `node`: event `i` is variable `i`, a gate
+    /// is defined on its first visit.
+    fn node_lit(&mut self, node: NodeId) -> Lit {
+        match node {
+            NodeId::Event(event) => Lit::positive(Var::from_index(event.index())),
+            NodeId::Gate(gate) => self.gate_lit(gate),
+        }
+    }
+
+    fn gate_lit(&mut self, id: GateId) -> Lit {
+        if let Some(lit) = self.defined[id.index()] {
+            return lit;
+        }
+        let tree = self.tree;
+        let gate = tree.gate(id);
+        let start = self.inputs.len();
+        for &input in gate.inputs() {
+            let lit = self.node_lit(input);
+            self.inputs.push(lit);
+        }
+        let kind = if self.dual {
+            gate.kind().dual(gate.inputs().len())
+        } else {
+            gate.kind()
+        };
+        let inputs = &self.inputs[start..];
+        let lit = match kind {
+            GateKind::And => self.encoder.define_and(inputs),
+            GateKind::Or => self.encoder.define_or(inputs),
+            GateKind::Vot { k } => self.encoder.define_at_least(k, inputs),
+        };
+        self.inputs.truncate(start);
+        self.defined[id.index()] = Some(lit);
+        lit
+    }
+}
+
 /// A fault tree encoded as a Weighted Partial MaxSAT instance (paper Steps
 /// 1–4), together with everything needed to decode models back into cut sets.
 #[derive(Clone, Debug)]
@@ -86,23 +137,32 @@ impl MpmcsEncoding {
     }
 
     /// Encodes `tree` with an explicit style and weight scale.
+    ///
+    /// Steps 1–2 are one walk over the gate DAG: each gate is defined once,
+    /// after its inputs, by [`TseitinEncoder`] (under its
+    /// [dual](fault_tree::GateKind::dual) kind for
+    /// [`EncodingStyle::SuccessTree`]), and the top is asserted — `f(t)`, or
+    /// `¬Y(t)`. This emits clause for clause what Tseitin-encoding the
+    /// [`StructureFormula`](fault_tree::StructureFormula) of the tree emits,
+    /// which stays the semantic reference.
     pub fn with_style(tree: &FaultTree, style: EncodingStyle, scale: WeightScale) -> Self {
-        let formula = StructureFormula::of(tree);
         let num_events = tree.num_events();
-        let mut encoder = TseitinEncoder::with_reserved_vars(num_events);
-        match style {
-            EncodingStyle::Direct => {
-                encoder.assert_true(formula.failure_expr());
-            }
-            EncodingStyle::SuccessTree => {
-                // ¬Y(t) over the y variables (paper Step 1).
-                let negated = BoolExpr::not(formula.dual_expr().clone());
-                encoder.assert_true(&negated);
-            }
-        }
-        let cnf = encoder.into_cnf();
+        let mut walk = GateWalk {
+            tree,
+            dual: style == EncodingStyle::SuccessTree,
+            encoder: TseitinEncoder::with_reserved_vars(num_events),
+            defined: vec![None; tree.num_gates()],
+            inputs: Vec::new(),
+        };
+        let top = walk.node_lit(tree.top());
+        let mut cnf = walk.encoder.into_cnf();
+        cnf.add_clause([match style {
+            EncodingStyle::Direct => top,
+            // ¬Y(t) over the y variables (paper Step 1).
+            EncodingStyle::SuccessTree => !top,
+        }]);
         let mut instance = WcnfInstance::with_vars(cnf.num_vars());
-        instance.add_hard_cnf(&cnf);
+        instance.add_hard_cnf(cnf);
 
         let mut scaled_weights = Vec::with_capacity(num_events);
         let mut log_weights = Vec::with_capacity(num_events);
@@ -295,6 +355,55 @@ mod tests {
         let (log_weight, probability) = encoding.cut_probability(&cut);
         assert!((probability - 0.02).abs() < 1e-9);
         assert!((log_weight - (1.60944 + 2.30259)).abs() < 1e-4);
+    }
+
+    /// The gate walk emits, clause for clause and over as many variables,
+    /// what Tseitin-encoding the tree's `StructureFormula` emits: `f(t)`
+    /// asserted for the direct style, `¬Y(t)` for the success tree.
+    #[test]
+    fn the_gate_walk_emits_the_structure_formula_cnf() {
+        use fault_tree::examples::all_examples;
+        use fault_tree::StructureFormula;
+        use ft_generators::Family;
+        use sat_solver::BoolExpr;
+
+        let mut trees: Vec<FaultTree> = all_examples().into_iter().map(|(_, t)| t).collect();
+        for family in Family::all() {
+            for size in [25, 200, 1000] {
+                trees.push(family.generate(size, 7));
+            }
+        }
+        for tree in &trees {
+            let formula = StructureFormula::of(tree);
+            for style in [EncodingStyle::Direct, EncodingStyle::SuccessTree] {
+                let mut encoder = TseitinEncoder::with_reserved_vars(tree.num_events());
+                encoder.assert_true(&match style {
+                    EncodingStyle::Direct => formula.failure_expr().clone(),
+                    EncodingStyle::SuccessTree => BoolExpr::not(formula.dual_expr().clone()),
+                });
+                let reference = encoder.into_cnf();
+                let encoding = MpmcsEncoding::with_style(tree, style, WeightScale::default());
+                let context = format!("{} ({} nodes), {style:?}", tree.name(), tree.node_count());
+                assert_eq!(
+                    encoding.instance().num_vars(),
+                    reference.num_vars(),
+                    "{context}"
+                );
+                assert_eq!(
+                    encoding.instance().num_hard(),
+                    reference.num_clauses(),
+                    "{context}"
+                );
+                for (index, (walked, expected)) in encoding
+                    .instance()
+                    .hard_clauses()
+                    .zip(reference.clauses())
+                    .enumerate()
+                {
+                    assert_eq!(walked, expected, "{context}: clause {index}");
+                }
+            }
+        }
     }
 
     #[test]

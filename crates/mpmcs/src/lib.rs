@@ -14,6 +14,12 @@
 //!    (see [`EncodingStyle`]).
 //! 2. **CNF conversion** — Tseitin transformation
 //!    ([`sat_solver::tseitin::TseitinEncoder`]).
+//!
+//!    Steps 1 and 2 are one walk over the tree's gates
+//!    ([`MpmcsEncoding::with_style`]): each gate, or its dual for the
+//!    success tree, is defined once on literals, and no formula is built.
+//!    The walk emits exactly the CNF of Tseitin-encoding the
+//!    [`fault_tree::StructureFormula`], which stays the semantic reference.
 //! 3. **Probabilities → log-space** — `wᵢ = −ln p(xᵢ)`
 //!    ([`fault_tree::Probability::log_weight`]), scaled to integer MaxSAT
 //!    weights.

@@ -229,27 +229,37 @@ impl McsStream {
     }
 
     /// Whether another minimal cut set exists beyond those delivered:
-    /// `Some(true)` when one is buffered or one more optimum proves it,
-    /// `Some(false)` once the session proves the family exhausted, and
-    /// `None` when the [interrupt hook](McsStream::set_interrupt) fired
-    /// first. Delivers nothing: an optimum it solves waits for the next
-    /// [`next_step`](McsStream::next_step).
+    /// `Some(true)` when one is buffered or the hard and blocking clauses
+    /// still have a model, `Some(false)` once they have none, and `None`
+    /// when the [interrupt hook](McsStream::set_interrupt) fired first.
+    ///
+    /// With nothing buffered, every cut set found so far has been delivered
+    /// and blocked, so one SAT call without assumptions
+    /// ([`IncrementalMaxSat::hard_satisfiable`]) settles the question: a
+    /// model contains a minimal cut set that no blocking clause excludes.
+    /// It solves no optimum; the next solution reports the call.
     ///
     /// # Errors
     ///
-    /// The errors of [`next_step`](McsStream::next_step).
+    /// [`MpmcsError::NoCutSet`] when nothing was delivered and the tree has
+    /// no cut set at all.
     pub fn has_more(&mut self) -> Result<Option<bool>, MpmcsError> {
-        loop {
-            if !self.ready.is_empty() || !self.pending.is_empty() {
-                return Ok(Some(true));
-            }
-            if self.exhausted {
-                return Ok(Some(false));
-            }
-            if !self.advance()? {
-                return Ok(None);
+        if !self.ready.is_empty() || !self.pending.is_empty() {
+            return Ok(Some(true));
+        }
+        if self.exhausted {
+            return Ok(Some(false));
+        }
+        let start = Instant::now();
+        let satisfiable = self.session.hard_satisfiable();
+        self.uncharged += start.elapsed();
+        if satisfiable == Some(false) {
+            self.exhausted = true;
+            if self.delivered == 0 {
+                return Err(MpmcsError::NoCutSet);
             }
         }
+        Ok(satisfiable)
     }
 
     /// Makes one session call and folds its outcome into the buffers: while
@@ -560,19 +570,25 @@ mod tests {
     /// Every SAT call the session issues is reported by exactly one
     /// solution: in discovery order (`session_calls`), each solution's
     /// `sat_calls` is the growth of `session_calls` since the one before —
-    /// also when an interrupt splits a search, and when the calls of a
-    /// group-closing probe carry into the next optimum.
+    /// also when an interrupt splits a search, when the calls of a
+    /// group-closing probe carry into the next optimum, and when
+    /// [`McsStream::has_more`] probes past the prefix with one SAT call.
     #[test]
     fn solutions_account_for_every_sat_call() {
         use ft_generators::Family;
         use std::sync::atomic::{AtomicU64, Ordering};
 
-        // (tree, solutions to pull, the interrupt-hook poll that fires)
+        // (tree, solutions to pull, the interrupt-hook poll that fires,
+        // whether the family continues past them, the SAT calls
+        // `has_more` then makes: none once the pulls proved the end)
         let cases = [
-            (Family::RandomMixed.generate(1000, 3), 4, 10),
-            (tied_vote(), usize::MAX, 4),
+            (Family::RandomMixed.generate(1000, 3), 4, 10, true, 1),
+            (tied_vote(), 7, 4, false, 0),
+            // Its 18 cut sets end with a group that a core closes, so the
+            // pulls leave the end unproven.
+            (Family::RandomMixed.generate(30, 2), 18, 4, false, 1),
         ];
-        for (tree, prefix, firing_poll) in cases {
+        for (tree, prefix, firing_poll, continues, probe_calls) in cases {
             let name = tree.name().to_string();
             let mut stream = MpmcsSolver::new().stream(Arc::new(tree));
             let polls = Arc::new(AtomicU64::new(0));
@@ -586,10 +602,20 @@ mod tests {
                 match stream.next_step().expect("solvable") {
                     StreamStep::Solution(solution) => solutions.push(solution),
                     StreamStep::Interrupted => interrupts += 1,
-                    StreamStep::Exhausted => break,
+                    StreamStep::Exhausted => panic!("{name}: fewer than {prefix} cut sets"),
                 }
             }
             assert_eq!(interrupts, 1, "{name}: the hook fires once");
+            let before = stream.sat_calls();
+            assert_eq!(stream.has_more().expect("consistent"), Some(continues));
+            assert_eq!(stream.sat_calls(), before + probe_calls, "{name}");
+            match stream.next_step().expect("solvable") {
+                StreamStep::Solution(solution) if continues => solutions.push(solution),
+                StreamStep::Exhausted if !continues => {
+                    assert_eq!(stream.sat_calls(), before + probe_calls, "{name}");
+                }
+                other => panic!("{name}: unexpected step {other:?}"),
+            }
             solutions.sort_by_key(|s| s.stats.session_calls);
             let mut previous = 0;
             for solution in &solutions {

@@ -163,6 +163,8 @@ pub struct Solver {
     max_learnt: f64,
     num_original_clauses: usize,
     unsat_core: Vec<Lit>,
+    /// The buffer [`Solver::add_clause`] collects and simplifies clauses in.
+    clause_buf: Vec<Lit>,
     last_model: Option<Model>,
     interrupt: Option<InterruptHook>,
     /// Conflict count at the end of the last inprocessing round.
@@ -225,6 +227,7 @@ impl Solver {
             max_learnt: 0.0,
             num_original_clauses: 0,
             unsat_core: Vec::new(),
+            clause_buf: Vec::new(),
             last_model: None,
             interrupt: None,
             last_inprocess_conflicts: 0,
@@ -333,16 +336,26 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut clause: Vec<Lit> = lits.into_iter().collect();
-        for lit in &clause {
+        let mut clause = std::mem::take(&mut self.clause_buf);
+        clause.clear();
+        clause.extend(lits);
+        let added = self.add_clause_from(&mut clause);
+        self.clause_buf = clause;
+        added
+    }
+
+    /// [`Solver::add_clause`] on a clause in the reused buffer, which it
+    /// sorts and simplifies in place.
+    fn add_clause_from(&mut self, clause: &mut Vec<Lit>) -> bool {
+        for lit in clause.iter() {
             self.ensure_vars(lit.var().index() + 1);
         }
         clause.sort_unstable();
         clause.dedup();
-        // Tautology / top-level simplification.
-        let mut simplified = Vec::with_capacity(clause.len());
-        let mut i = 0;
-        while i < clause.len() {
+        // Tautology / top-level simplification, keeping the surviving
+        // literals at the front.
+        let mut kept = 0;
+        for i in 0..clause.len() {
             let lit = clause[i];
             if i + 1 < clause.len() && clause[i + 1] == !lit {
                 return true; // tautology: p ∨ ¬p
@@ -350,10 +363,13 @@ impl Solver {
             match self.lit_value(lit) {
                 LBool::True => return true, // clause already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(lit),
+                LBool::Undef => {
+                    clause[kept] = lit;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
+        let simplified = &clause[..kept];
         match simplified.len() {
             0 => {
                 self.ok = false;
@@ -367,7 +383,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.add(&simplified, false);
+                let cref = self.db.add(simplified, false);
                 self.num_original_clauses += 1;
                 self.attach_clause(cref);
                 true

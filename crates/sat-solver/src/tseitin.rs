@@ -10,6 +10,12 @@
 //! Voting (`at least k of n`) nodes are expanded with a shared recursive
 //! decomposition `atleast(k, [x1..xn]) = atleast(k, rest) ∨ (x1 ∧ atleast(k-1, rest))`
 //! memoised on `(offset, k)`, which yields `O(n·k)` auxiliary nodes.
+//!
+//! A caller that walks its own structure — the MPMCS encoder walks the
+//! fault tree's gates — calls [`TseitinEncoder::define_and`],
+//! [`TseitinEncoder::define_or`] and [`TseitinEncoder::define_at_least`]
+//! directly on literals, in the order [`TseitinEncoder::encode`] would, and
+//! builds no [`BoolExpr`] at all.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,8 +139,10 @@ impl TseitinEncoder {
         lit
     }
 
-    /// Introduces `g ↔ (l1 ∧ … ∧ ln)` and returns `g`.
-    fn define_and(&mut self, lits: &[Lit]) -> Lit {
+    /// Introduces `g ↔ (l1 ∧ … ∧ ln)` and returns `g`: a fresh variable and
+    /// `n + 1` clauses for two or more literals, the literal itself for one,
+    /// the constant `true` for none.
+    pub fn define_and(&mut self, lits: &[Lit]) -> Lit {
         match lits.len() {
             0 => self.true_lit(),
             1 => lits[0],
@@ -151,8 +159,9 @@ impl TseitinEncoder {
         }
     }
 
-    /// Introduces `g ↔ (l1 ∨ … ∨ ln)` and returns `g`.
-    fn define_or(&mut self, lits: &[Lit]) -> Lit {
+    /// Introduces `g ↔ (l1 ∨ … ∨ ln)` and returns `g` (the literal itself
+    /// for one literal, the constant `false` for none).
+    pub fn define_or(&mut self, lits: &[Lit]) -> Lit {
         match lits.len() {
             0 => !self.true_lit(),
             1 => lits[0],
@@ -170,8 +179,9 @@ impl TseitinEncoder {
     }
 
     /// Encodes `at least k of lits` via a memoised recursive decomposition and
-    /// returns the defining literal.
-    fn define_at_least(&mut self, k: usize, lits: &[Lit]) -> Lit {
+    /// returns the defining literal (`define_or` for `k == 1`, `define_and`
+    /// for `k == n`).
+    pub fn define_at_least(&mut self, k: usize, lits: &[Lit]) -> Lit {
         let mut memo: HashMap<(usize, usize), Lit> = HashMap::new();
         self.at_least_from(k, 0, lits, &mut memo)
     }
