@@ -9,8 +9,8 @@
 //!
 //! The number of distinct sums can grow combinatorially for adversarial weight
 //! distributions, so the builder takes a hard size limit and fails gracefully
-//! with [`GteError::TooLarge`]; callers (the portfolio) fall back to the
-//! core-guided algorithm in that case.
+//! with [`GteError::TooLarge`], on which the linear SAT–UNSAT solver falls
+//! back to the core-guided algorithm.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -17,13 +17,12 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use sat_solver::{InterruptHook, Lit, SolveResult, Solver, SolverStats};
+use sat_solver::{InterruptHook, Lit, SolveResult, Solver, SolverConfig, SolverStats};
 
 use crate::encodings::totalizer::Totalizer;
 use crate::instance::WcnfInstance;
-use crate::oll::{extract_model, normalize_softs, OllConfig};
+use crate::oll::{extract_model, normalize_softs};
 use crate::result::{MaxSatOutcome, MaxSatResult, MaxSatStats};
 
 /// When one `solve` call extracts this many unsatisfiable cores, the session
@@ -32,7 +31,7 @@ use crate::result::{MaxSatOutcome, MaxSatResult, MaxSatStats};
 /// the solver is rebuilt from the original instance plus every added hard
 /// clause, exactly as a from-scratch solve would see it. At most one
 /// compaction happens per call, and never on a session's first call, so a
-/// one-shot solve behaves exactly like the historical `OllSolver`.
+/// one-shot solve never compacts.
 ///
 /// The budget is deliberately small: healthy warm-started queries in the
 /// enumeration workloads need a handful of cores, while a degenerate one
@@ -119,11 +118,11 @@ pub enum BoundedSolve {
 /// ```
 pub struct IncrementalMaxSat<'a> {
     solver: Solver,
-    /// The original instance — borrowed for one-shot consumers (like
-    /// `OllSolver`, which pays no clone) or owned for self-contained
-    /// streaming sessions ([`IncrementalMaxSat::owned`]). Used for model
-    /// extraction, exact cost accounting and session compaction; never
-    /// mutated, so the `Cow` never actually copies after construction.
+    /// The original instance — borrowed for one-shot solves (which pay no
+    /// clone) or owned for self-contained streaming sessions
+    /// ([`IncrementalMaxSat::owned`]). Used for model extraction, exact cost
+    /// accounting and session compaction; never mutated, so the `Cow` never
+    /// actually copies after construction.
     instance: Cow<'a, WcnfInstance>,
     /// Hard clauses added after construction, replayed on compaction.
     added_hard: Vec<Vec<Lit>>,
@@ -138,7 +137,7 @@ pub struct IncrementalMaxSat<'a> {
     /// Lower bound established so far; carried across calls, re-derived
     /// after a compaction.
     lower_bound: u64,
-    config: OllConfig,
+    config: SolverConfig,
     /// Counters of solvers retired by compaction, so cumulative statistics
     /// survive the rebuild.
     retired: SolverStats,
@@ -175,22 +174,22 @@ impl<'a> IncrementalMaxSat<'a> {
     /// Creates a session over `instance` with the default (deterministic)
     /// configuration.
     pub fn new(instance: &'a WcnfInstance) -> Self {
-        Self::with_config(instance, OllConfig::default())
+        Self::with_config(instance, SolverConfig::default())
     }
 
-    /// Creates a session over `instance` with an explicit OLL configuration.
-    pub fn with_config(instance: &'a WcnfInstance, config: OllConfig) -> Self {
+    /// Creates a session over `instance` whose SAT solver uses `config`.
+    pub fn with_config(instance: &'a WcnfInstance, config: SolverConfig) -> Self {
         Self::from_cow(Cow::Borrowed(instance), config)
     }
 
     /// Creates a self-contained `'static` session that owns its instance —
     /// the building block of streaming enumerations, which must carry their
     /// solver state around without borrowing from an encoding.
-    pub fn owned(instance: WcnfInstance, config: OllConfig) -> IncrementalMaxSat<'static> {
+    pub fn owned(instance: WcnfInstance, config: SolverConfig) -> IncrementalMaxSat<'static> {
         IncrementalMaxSat::from_cow(Cow::Owned(instance), config)
     }
 
-    fn from_cow(instance: Cow<'a, WcnfInstance>, config: OllConfig) -> Self {
+    fn from_cow(instance: Cow<'a, WcnfInstance>, config: SolverConfig) -> Self {
         let (solver, weights, baseline) = build_state(&config, &instance, &[]);
         IncrementalMaxSat {
             solver,
@@ -261,16 +260,14 @@ impl<'a> IncrementalMaxSat<'a> {
     /// fires mid-call; interruptible consumers use
     /// [`IncrementalMaxSat::solve_within`] instead.
     pub fn solve(&mut self) -> MaxSatResult {
-        self.solve_with_stop(&AtomicBool::new(false))
-            .expect("solve cannot be interrupted without a stop request")
+        self.solve_unless_interrupted()
+            .expect("an installed interrupt hook fired mid-solve")
     }
 
-    /// Like [`IncrementalMaxSat::solve`], checking `stop` between SAT calls;
-    /// returns `None` if the flag was raised first. The session state stays
-    /// consistent, so a later call can pick the search up again and reports
-    /// this call's work.
-    pub fn solve_with_stop(&mut self, stop: &AtomicBool) -> Option<MaxSatResult> {
-        match self.run(stop, u64::MAX) {
+    /// [`solve`](IncrementalMaxSat::solve) for the crate's one-shot solvers,
+    /// which install a hook: `None` when it fired first.
+    pub(crate) fn solve_unless_interrupted(&mut self) -> Option<MaxSatResult> {
+        match self.solve_within(u64::MAX) {
             BoundedSolve::Solved(result) => Some(result),
             BoundedSolve::Interrupted => None,
             BoundedSolve::AboveBound => unreachable!("no lower bound exceeds u64::MAX"),
@@ -288,51 +285,13 @@ impl<'a> IncrementalMaxSat<'a> {
     /// an optimum of that cost) one SAT call decides: it finds another model
     /// at `bound`, or its core lifts the bound above it. Nothing is lost by
     /// stopping there — the next call resumes with the same SAT call an
-    /// unbounded call would have issued next.
+    /// unbounded call would have issued next. A call that ends early parks
+    /// its counters for the next call.
     pub fn solve_within(&mut self, bound: u64) -> BoundedSolve {
-        self.run(&AtomicBool::new(false), bound)
-    }
-
-    /// Whether the hard clauses — the instance's and every added one — still
-    /// have a model: one SAT call without assumptions, `None` when the
-    /// [interrupt hook](IncrementalMaxSat::set_interrupt) fired first.
-    ///
-    /// The session's own clauses decide this as well as the hard ones: a
-    /// totalizer or a relaxed soft only adds clauses that setting its new
-    /// variables true satisfies, and a hardened core is implied by the hard
-    /// clauses. The call solves no optimum, so like a stopped call it hands
-    /// its counters to the next call, whose result reports it.
-    pub fn hard_satisfiable(&mut self) -> Option<bool> {
-        let mut stats = self.resumed_stats();
-        stats.sat_calls += 1;
-        let satisfiable = match self.solver.solve_with_assumptions(&[]) {
-            SolveResult::Sat(_) => Some(true),
-            SolveResult::Unsat => Some(false),
-            SolveResult::Interrupted => None,
-        };
-        self.suspended = Some(stats);
-        satisfiable
-    }
-
-    /// The counters of a suspended call, or fresh ones.
-    fn resumed_stats(&mut self) -> MaxSatStats {
-        self.suspended.take().unwrap_or_else(|| MaxSatStats {
-            algorithm: "oll".to_string(),
-            ..MaxSatStats::default()
-        })
-    }
-
-    /// The OLL loop shared by every solve entry point: stops above
-    /// `max_cost`, or when `stop` or the interrupt hook fires, parking the
-    /// call's counters for the next call.
-    fn run(&mut self, stop: &AtomicBool, max_cost: u64) -> BoundedSolve {
         let mut stats = self.resumed_stats();
         let early_end = loop {
-            if self.lower_bound > max_cost {
+            if self.lower_bound > bound {
                 break BoundedSolve::AboveBound;
-            }
-            if stop.load(Ordering::Relaxed) {
-                break BoundedSolve::Interrupted;
             }
             let assumptions: Vec<Lit> = self.weights.keys().copied().collect();
             stats.sat_calls += 1;
@@ -391,8 +350,8 @@ impl<'a> IncrementalMaxSat<'a> {
                     // count b, so the next count takes over the w_min just
                     // paid (RC2's rule, also when ¬o_b keeps some weight).
                     for lit in &core {
-                        if let Some(&(index, bound)) = self.sums.get(lit) {
-                            self.charge_sum(index, bound + 1, w_min);
+                        if let Some(&(index, count)) = self.sums.get(lit) {
+                            self.charge_sum(index, count + 1, w_min);
                         }
                     }
                     if core.len() == 1 {
@@ -416,6 +375,35 @@ impl<'a> IncrementalMaxSat<'a> {
         };
         self.suspended = Some(stats);
         early_end
+    }
+
+    /// Whether the hard clauses — the instance's and every added one — still
+    /// have a model: one SAT call without assumptions, `None` when the
+    /// [interrupt hook](IncrementalMaxSat::set_interrupt) fired first.
+    ///
+    /// The session's own clauses decide this as well as the hard ones: a
+    /// totalizer or a relaxed soft only adds clauses that setting its new
+    /// variables true satisfies, and a hardened core is implied by the hard
+    /// clauses. The call solves no optimum, so like a stopped call it hands
+    /// its counters to the next call, whose result reports it.
+    pub fn hard_satisfiable(&mut self) -> Option<bool> {
+        let mut stats = self.resumed_stats();
+        stats.sat_calls += 1;
+        let satisfiable = match self.solver.solve_with_assumptions(&[]) {
+            SolveResult::Sat(_) => Some(true),
+            SolveResult::Unsat => Some(false),
+            SolveResult::Interrupted => None,
+        };
+        self.suspended = Some(stats);
+        satisfiable
+    }
+
+    /// The counters of a suspended call, or fresh ones.
+    fn resumed_stats(&mut self) -> MaxSatStats {
+        self.suspended.take().unwrap_or_else(|| MaxSatStats {
+            algorithm: "oll".to_string(),
+            ..MaxSatStats::default()
+        })
     }
 
     /// Adds `weight` to the sum assumption `¬o_bound` ("fewer than `bound`
@@ -468,11 +456,11 @@ impl<'a> IncrementalMaxSat<'a> {
 /// normalised into assumption literals. Shared by construction and
 /// compaction.
 fn build_state(
-    config: &OllConfig,
+    config: &SolverConfig,
     instance: &WcnfInstance,
     added_hard: &[Vec<Lit>],
 ) -> (Solver, BTreeMap<Lit, u64>, u64) {
-    let mut solver = Solver::with_config(config.sat_config.clone());
+    let mut solver = Solver::with_config(config.clone());
     solver.ensure_vars(instance.num_vars());
     for clause in instance
         .hard_clauses()
@@ -525,7 +513,6 @@ mod tests {
         // After each optimum, block it as a hard clause and compare the next
         // incremental optimum against a from-scratch solve of the grown
         // instance.
-        use crate::{MaxSatAlgorithm, OllSolver};
         for seed in 300..308 {
             let inst = random_instance(seed, 7, 10, 5);
             // The session borrows `inst`; the from-scratch comparison solves
@@ -534,7 +521,7 @@ mod tests {
             let mut session = IncrementalMaxSat::new(&inst);
             for _ in 0..4 {
                 let incremental = session.solve();
-                let scratch = OllSolver::default().solve(&grown);
+                let scratch = IncrementalMaxSat::new(&grown).solve();
                 assert_eq!(
                     incremental.outcome.cost(),
                     scratch.outcome.cost(),

@@ -6,63 +6,56 @@
 //! reports unsatisfiability; the last model found is optimal.
 //!
 //! The generalized totalizer can grow large for adversarial weight
-//! distributions; when the configured size limit is exceeded the solver
-//! transparently falls back to the core-guided [`OllSolver`](crate::OllSolver)
-//! so that a correct optimum is always produced.
+//! distributions; past `MAX_GTE_OUTPUTS` outputs the solver transparently
+//! falls back to the core-guided OLL search of [`IncrementalMaxSat`], so
+//! that a correct optimum is always produced.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use sat_solver::{Lit, SolveResult, Solver, SolverConfig};
+use sat_solver::{InterruptHook, Lit, SolveResult, Solver, SolverConfig};
 
 use crate::encodings::gte::{GteBuilder, GteError};
+use crate::incremental::IncrementalMaxSat;
 use crate::instance::WcnfInstance;
-use crate::oll::{extract_model, normalize_softs, OllSolver};
+use crate::oll::{extract_model, normalize_softs};
 use crate::result::{MaxSatOutcome, MaxSatResult, MaxSatStats};
-use crate::MaxSatAlgorithm;
 
-/// Configuration of the [`LinearSuSolver`].
-#[derive(Clone, Debug)]
-pub struct LinearSuConfig {
-    /// Configuration of the underlying SAT solver.
-    pub sat_config: SolverConfig,
-    /// Maximum number of generalized-totalizer outputs before falling back to
-    /// the core-guided algorithm.
-    pub max_gte_outputs: usize,
-}
-
-impl Default for LinearSuConfig {
-    fn default() -> Self {
-        LinearSuConfig {
-            sat_config: SolverConfig::default(),
-            // Weighted instances with many distinct weights blow the encoding
-            // up quickly; beyond this size the core-guided fallback is faster
-            // than even *building* the GTE, so the default cap is modest.
-            max_gte_outputs: 20_000,
-        }
-    }
-}
+/// The most generalized-totalizer outputs built before falling back to the
+/// core-guided search. Weighted instances with many distinct weights blow
+/// the encoding up quickly; beyond this size the fallback is faster than
+/// even *building* the GTE.
+const MAX_GTE_OUTPUTS: usize = 20_000;
 
 /// Model-improving linear SAT–UNSAT solver.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct LinearSuSolver {
-    config: LinearSuConfig,
+    sat_config: SolverConfig,
+    interrupt: Option<InterruptHook>,
+}
+
+impl std::fmt::Debug for LinearSuSolver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LinearSuSolver")
+            .field("sat_config", &self.sat_config)
+            .field("interruptible", &self.interrupt.is_some())
+            .finish()
+    }
 }
 
 impl LinearSuSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: LinearSuConfig) -> Self {
-        LinearSuSolver { config }
+    /// Creates a solver whose SAT solver uses `sat_config`.
+    pub fn new(sat_config: SolverConfig) -> Self {
+        LinearSuSolver {
+            sat_config,
+            interrupt: None,
+        }
     }
 
-    /// Creates a solver whose underlying SAT solver uses `sat_config`.
-    pub fn with_sat_config(sat_config: SolverConfig) -> Self {
-        LinearSuSolver {
-            config: LinearSuConfig {
-                sat_config,
-                ..LinearSuConfig::default()
-            },
-        }
+    /// Installs (or clears) the cancellation probe polled by the SAT search,
+    /// the OLL fallback's included. When it fires,
+    /// [`solve`](LinearSuSolver::solve) returns `None`.
+    pub fn set_interrupt(&mut self, hook: Option<InterruptHook>) {
+        self.interrupt = hook;
     }
 
     /// Penalty of a model measured on the normalised penalty literals.
@@ -77,23 +70,20 @@ impl LinearSuSolver {
             .map(|(_, w)| *w)
             .sum()
     }
-}
 
-impl MaxSatAlgorithm for LinearSuSolver {
-    fn name(&self) -> &'static str {
-        "linear-su"
-    }
-
-    fn solve_with_stop(&self, instance: &WcnfInstance, stop: &AtomicBool) -> Option<MaxSatResult> {
+    /// Solves the instance to optimality; `None` when the
+    /// [interrupt hook](LinearSuSolver::set_interrupt) fired first.
+    pub fn solve(&self, instance: &WcnfInstance) -> Option<MaxSatResult> {
         let mut stats = MaxSatStats {
-            algorithm: self.name().to_string(),
+            algorithm: "linear-su".to_string(),
             ..MaxSatStats::default()
         };
         // One persistent solver per instance: the GTE structure below is
         // built once and tightened in place by unit assertions, never
         // re-encoded, and every SAT call starts from the learnt state of the
         // previous one.
-        let mut solver = Solver::with_config(self.config.sat_config.clone());
+        let mut solver = Solver::with_config(self.sat_config.clone());
+        solver.set_interrupt(self.interrupt.clone());
         solver.ensure_vars(instance.num_vars());
         for clause in instance.hard_clauses() {
             solver.add_clause(clause.iter().copied());
@@ -106,9 +96,6 @@ impl MaxSatAlgorithm for LinearSuSolver {
             Some(MaxSatResult { outcome, stats })
         };
 
-        if stop.load(Ordering::Relaxed) {
-            return None;
-        }
         stats.sat_calls += 1;
         let first_model = match solver.solve() {
             SolveResult::Sat(model) => model,
@@ -141,43 +128,33 @@ impl MaxSatAlgorithm for LinearSuSolver {
 
         // Build the pseudo-Boolean structure once; tighten by asserting units.
         let penalty_inputs: Vec<(Lit, u64)> = weights.iter().map(|(&l, &w)| (!l, w)).collect();
-        let gte = match GteBuilder::build(&mut solver, &penalty_inputs, self.config.max_gte_outputs)
-        {
+        let gte = match GteBuilder::build(&mut solver, &penalty_inputs, MAX_GTE_OUTPUTS) {
             Ok(gte) => gte,
             Err(GteError::TooLarge { .. }) | Err(GteError::Empty) => {
                 // Fall back to the core-guided algorithm; keep its stats but
                 // record that the fallback happened, and fold in the SAT
                 // work this solver already performed (the initial solve).
-                let mut result = OllSolver::with_sat_config(self.config.sat_config.clone())
-                    .solve_with_stop(instance, stop)?;
+                let mut oll = IncrementalMaxSat::with_config(instance, self.sat_config.clone());
+                oll.set_interrupt(self.interrupt.clone());
+                let mut result = oll.solve_unless_interrupted()?;
                 result.stats.algorithm = "linear-su(fallback:oll)".to_string();
                 result.stats.sat_calls += stats.sat_calls;
-                let spent = solver.stats();
-                result.stats.conflicts += spent.conflicts;
-                result.stats.propagations += spent.propagations;
-                result.stats.restarts += spent.restarts;
-                result.stats.learnt_reused += spent.learnt_reused;
-                result.stats.inprocess_rounds += spent.inprocess_rounds;
-                result.stats.inprocess_strengthened += spent.inprocess_strengthened;
-                result.stats.inprocess_removed += spent.inprocess_removed;
-                result.stats.arena_compactions += spent.arena_compactions;
+                result
+                    .stats
+                    .absorb_solver(&oll.solver_stats().merged(solver.stats()));
                 return Some(result);
             }
         };
 
         let mut asserted_above = gte.max_sum();
         loop {
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
             if best_penalty == 0 {
                 break;
             }
             let bound = best_penalty - 1;
             // Assert every output strictly above the new bound that has not
             // been asserted yet.
-            for (&sum, &lit) in gte.outputs().range((bound + 1)..=asserted_above) {
-                let _ = sum;
+            for (_, &lit) in gte.outputs().range((bound + 1)..=asserted_above) {
                 solver.add_clause([!lit]);
             }
             asserted_above = bound;
@@ -232,6 +209,12 @@ mod tests {
         Lit::negative(Var::from_index(i))
     }
 
+    fn solve(inst: &WcnfInstance) -> MaxSatResult {
+        LinearSuSolver::default()
+            .solve(inst)
+            .expect("no interrupt hook is installed")
+    }
+
     #[test]
     fn finds_the_minimum_weight_model() {
         let mut inst = WcnfInstance::with_vars(3);
@@ -239,7 +222,7 @@ mod tests {
         inst.add_soft([neg(0)], 9);
         inst.add_soft([neg(1)], 2);
         inst.add_soft([neg(2)], 5);
-        let result = LinearSuSolver::default().solve(&inst);
+        let result = solve(&inst);
         assert_eq!(result.outcome.cost(), Some(2));
         let model = result.outcome.model().unwrap();
         assert!(!model[0] && model[1] && !model[2]);
@@ -250,7 +233,7 @@ mod tests {
         let mut inst = WcnfInstance::with_vars(1);
         inst.add_hard([pos(0)]);
         inst.add_hard([neg(0)]);
-        let result = LinearSuSolver::default().solve(&inst);
+        let result = solve(&inst);
         assert_eq!(result.outcome, MaxSatOutcome::Unsatisfiable);
     }
 
@@ -259,26 +242,24 @@ mod tests {
         let mut inst = WcnfInstance::with_vars(2);
         inst.add_hard([pos(0), pos(1)]);
         inst.add_soft([pos(0), pos(1)], 3);
-        let result = LinearSuSolver::default().solve(&inst);
+        let result = solve(&inst);
         assert_eq!(result.outcome.cost(), Some(0));
         assert!(result.stats.sat_calls >= 1);
     }
 
+    /// Weights 2⁰…2¹⁴ give 32,767 distinct penalty sums, past
+    /// `MAX_GTE_OUTPUTS`.
     #[test]
     fn falls_back_to_oll_when_the_encoding_is_too_large() {
-        let config = LinearSuConfig {
-            max_gte_outputs: 4,
-            ..LinearSuConfig::default()
-        };
-        let mut inst = WcnfInstance::with_vars(6);
-        inst.add_hard((0..6).map(pos).collect::<Vec<_>>());
-        for i in 0..6 {
-            inst.add_soft([neg(i)], 1 + (1 << i) as u64);
+        let mut inst = WcnfInstance::with_vars(15);
+        inst.add_hard((0..15).map(pos));
+        for i in 0..15 {
+            inst.add_soft([neg(i)], 1 << i);
         }
-        let result = LinearSuSolver::new(config).solve(&inst);
-        assert!(result.stats.algorithm.contains("fallback"));
-        // Cheapest way to satisfy the hard clause is x0 (weight 2).
-        assert_eq!(result.outcome.cost(), Some(2));
+        let result = solve(&inst);
+        assert_eq!(result.stats.algorithm, "linear-su(fallback:oll)");
+        // Cheapest way to satisfy the hard clause is x0 (weight 1).
+        assert_eq!(result.outcome.cost(), Some(1));
     }
 
     #[test]
@@ -286,7 +267,7 @@ mod tests {
         for seed in 100..120 {
             let inst = random_instance(seed, 7, 10, 5);
             let expected = brute_force_optimum(&inst);
-            let result = LinearSuSolver::default().solve(&inst);
+            let result = solve(&inst);
             match expected {
                 None => assert_eq!(result.outcome, MaxSatOutcome::Unsatisfiable, "seed {seed}"),
                 Some(cost) => {
@@ -299,23 +280,11 @@ mod tests {
 
     #[test]
     fn agrees_with_oll_on_random_instances() {
-        use crate::OllSolver;
         for seed in 500..515 {
             let inst = random_instance(seed, 10, 18, 8);
-            let linear = LinearSuSolver::default().solve(&inst);
-            let oll = OllSolver::default().solve(&inst);
+            let linear = solve(&inst);
+            let oll = IncrementalMaxSat::new(&inst).solve();
             assert_eq!(linear.outcome.cost(), oll.outcome.cost(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn stop_flag_interrupts_the_search() {
-        let mut inst = WcnfInstance::with_vars(2);
-        inst.add_hard([pos(0), pos(1)]);
-        inst.add_soft([neg(0)], 1);
-        let stop = AtomicBool::new(true);
-        assert!(LinearSuSolver::default()
-            .solve_with_stop(&inst, &stop)
-            .is_none());
     }
 }

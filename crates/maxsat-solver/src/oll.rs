@@ -14,43 +14,16 @@
 //! This strategy shines when the optimum violates few soft clauses — which is
 //! exactly the minimal-cut-set setting, where solutions contain a handful of
 //! basic events out of thousands.
+//!
+//! The loop itself lives in [`IncrementalMaxSat`](crate::IncrementalMaxSat),
+//! whose first call is a one-shot solve; this module holds the soft-clause
+//! normalisation it shares with the linear SAT–UNSAT solver.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
 
-use sat_solver::{Lit, Solver, SolverConfig, Var};
+use sat_solver::{Lit, Solver, Var};
 
-use crate::incremental::IncrementalMaxSat;
 use crate::instance::WcnfInstance;
-use crate::result::MaxSatResult;
-use crate::MaxSatAlgorithm;
-
-/// Configuration of the [`OllSolver`].
-#[derive(Clone, Debug, Default)]
-pub struct OllConfig {
-    /// Configuration of the underlying SAT solver.
-    pub sat_config: SolverConfig,
-}
-
-/// Core-guided OLL solver.
-#[derive(Clone, Debug, Default)]
-pub struct OllSolver {
-    config: OllConfig,
-}
-
-impl OllSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: OllConfig) -> Self {
-        OllSolver { config }
-    }
-
-    /// Creates a solver whose underlying SAT solver uses `sat_config`.
-    pub fn with_sat_config(sat_config: SolverConfig) -> Self {
-        OllSolver {
-            config: OllConfig { sat_config },
-        }
-    }
-}
 
 /// Normalises the soft clauses of `instance` into *assumption literals*:
 /// assuming the literal means "this soft clause is satisfied". Returns the
@@ -91,23 +64,11 @@ pub(crate) fn extract_model(model: &sat_solver::Model, num_vars: usize) -> Vec<b
         .collect()
 }
 
-impl MaxSatAlgorithm for OllSolver {
-    fn name(&self) -> &'static str {
-        "oll"
-    }
-
-    fn solve_with_stop(&self, instance: &WcnfInstance, stop: &AtomicBool) -> Option<MaxSatResult> {
-        // A one-shot solve is the first call of a fresh incremental session;
-        // the OLL loop itself lives in `IncrementalMaxSat`.
-        IncrementalMaxSat::with_config(instance, self.config.clone()).solve_with_stop(stop)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests_support::{brute_force_optimum, random_instance, verify_optimum};
-    use crate::MaxSatOutcome;
+    use crate::{IncrementalMaxSat, MaxSatOutcome};
 
     fn pos(i: usize) -> Lit {
         Lit::positive(Var::from_index(i))
@@ -122,7 +83,7 @@ mod tests {
         inst.add_hard([pos(0), pos(1)]);
         inst.add_soft([neg(0)], 5);
         inst.add_soft([neg(1)], 3);
-        let result = OllSolver::default().solve(&inst);
+        let result = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(result.outcome.cost(), Some(3));
         let model = result.outcome.model().unwrap();
         assert!(!model[0] && model[1]);
@@ -134,7 +95,7 @@ mod tests {
         inst.add_hard([pos(0)]);
         inst.add_hard([neg(0)]);
         inst.add_soft([pos(0)], 1);
-        let result = OllSolver::default().solve(&inst);
+        let result = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(result.outcome, MaxSatOutcome::Unsatisfiable);
     }
 
@@ -142,7 +103,7 @@ mod tests {
     fn no_soft_clauses_means_cost_zero() {
         let mut inst = WcnfInstance::with_vars(2);
         inst.add_hard([pos(0), pos(1)]);
-        let result = OllSolver::default().solve(&inst);
+        let result = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(result.outcome.cost(), Some(0));
     }
 
@@ -152,7 +113,7 @@ mod tests {
         inst.add_hard([pos(0)]);
         inst.add_soft(Vec::<Lit>::new(), 9);
         inst.add_soft([neg(0)], 2);
-        let result = OllSolver::default().solve(&inst);
+        let result = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(result.outcome.cost(), Some(11));
     }
 
@@ -167,7 +128,7 @@ mod tests {
         inst.add_soft([neg(0)], 10);
         inst.add_soft([neg(1)], 4);
         inst.add_soft([neg(2)], 6);
-        let result = OllSolver::default().solve(&inst);
+        let result = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(result.outcome.cost(), Some(10)); // 4 + 6
         let model = result.outcome.model().unwrap();
         assert!(!model[0] && model[1] && model[2]);
@@ -180,7 +141,7 @@ mod tests {
         inst.add_hard([neg(0)]);
         inst.add_hard([neg(1)]);
         inst.add_soft([pos(0), pos(1)], 7);
-        let result = OllSolver::default().solve(&inst);
+        let result = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(result.outcome.cost(), Some(7));
     }
 
@@ -190,7 +151,7 @@ mod tests {
         inst.add_hard([pos(0)]);
         inst.add_soft([neg(0)], 2);
         inst.add_soft([neg(0)], 3);
-        let result = OllSolver::default().solve(&inst);
+        let result = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(result.outcome.cost(), Some(5));
     }
 
@@ -199,7 +160,7 @@ mod tests {
         for seed in 0..25 {
             let inst = random_instance(seed, 8, 12, 6);
             let expected = brute_force_optimum(&inst);
-            let result = OllSolver::default().solve(&inst);
+            let result = IncrementalMaxSat::new(&inst).solve();
             match expected {
                 None => assert_eq!(result.outcome, MaxSatOutcome::Unsatisfiable, "seed {seed}"),
                 Some(cost) => {
@@ -208,14 +169,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stop_flag_interrupts_the_search() {
-        let mut inst = WcnfInstance::with_vars(2);
-        inst.add_hard([pos(0), pos(1)]);
-        inst.add_soft([neg(0)], 1);
-        let stop = AtomicBool::new(true);
-        assert!(OllSolver::default().solve_with_stop(&inst, &stop).is_none());
     }
 }

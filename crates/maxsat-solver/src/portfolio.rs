@@ -7,168 +7,136 @@
 //! stable runtime profile than any single configuration.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
-use sat_solver::{BranchingChoice, SolverConfig};
+use sat_solver::{BranchingChoice, InterruptHook, SolverConfig};
 
+use crate::incremental::IncrementalMaxSat;
 use crate::instance::WcnfInstance;
-use crate::linear::{LinearSuConfig, LinearSuSolver};
-use crate::oll::{OllConfig, OllSolver};
-use crate::result::{MaxSatOutcome, MaxSatResult, MaxSatStats};
-use crate::MaxSatAlgorithm;
+use crate::linear::LinearSuSolver;
+use crate::result::MaxSatResult;
 
-/// One competitor in the portfolio.
-#[derive(Clone, Debug)]
-pub enum PortfolioEntry {
-    /// A core-guided OLL solver.
-    Oll(OllConfig),
-    /// A linear SAT–UNSAT solver.
-    LinearSu(LinearSuConfig),
+/// The algorithm of one portfolio entry.
+#[derive(Clone, Copy, Debug)]
+enum Algorithm {
+    Oll,
+    LinearSu,
 }
 
-/// Configuration of the [`PortfolioSolver`].
-#[derive(Debug)]
-pub struct PortfolioConfig {
-    /// The competing solver configurations.
-    pub entries: Vec<PortfolioEntry>,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            entries: default_entries(),
-        }
-    }
-}
-
-impl PortfolioConfig {
-    /// Applies one branching heuristic to every entry's SAT configuration.
-    #[must_use]
-    pub fn with_branching(mut self, branching: BranchingChoice) -> Self {
-        for entry in &mut self.entries {
-            match entry {
-                PortfolioEntry::Oll(config) => config.sat_config.branching = branching,
-                PortfolioEntry::LinearSu(config) => config.sat_config.branching = branching,
-            }
-        }
-        self
-    }
-}
-
-/// The default portfolio: OLL with two different SAT configurations plus a
-/// linear SAT–UNSAT solver, mirroring the heterogeneous solver line-up of the
-/// original MPMCS4FTA tool.
-pub fn default_entries() -> Vec<PortfolioEntry> {
+/// The line-up: OLL under two SAT configurations plus linear SAT–UNSAT,
+/// mirroring the heterogeneous solver line-up of the original MPMCS4FTA
+/// tool. Every entry uses the portfolio's branching heuristic.
+fn line_up(branching: BranchingChoice) -> [(Algorithm, SolverConfig); 3] {
+    let base = SolverConfig {
+        branching,
+        ..SolverConfig::default()
+    };
     let aggressive = SolverConfig {
         var_decay: 0.85,
         restart_first: 50,
         seed: 1,
-        ..SolverConfig::default()
+        ..base.clone()
     };
     let diverse = SolverConfig {
         random_var_freq: 0.02,
         default_phase: true,
         seed: 7,
-        ..SolverConfig::default()
+        ..base.clone()
     };
-    vec![
-        PortfolioEntry::Oll(OllConfig::default()),
-        PortfolioEntry::Oll(OllConfig {
-            sat_config: aggressive,
-        }),
-        PortfolioEntry::LinearSu(LinearSuConfig {
-            sat_config: diverse,
-            ..LinearSuConfig::default()
-        }),
+    [
+        (Algorithm::Oll, base),
+        (Algorithm::Oll, aggressive),
+        (Algorithm::LinearSu, diverse),
     ]
+}
+
+/// Runs one entry to completion; `None` when `interrupt` fired first.
+fn run_entry(
+    algorithm: Algorithm,
+    config: SolverConfig,
+    instance: &WcnfInstance,
+    interrupt: InterruptHook,
+) -> Option<MaxSatResult> {
+    match algorithm {
+        Algorithm::Oll => {
+            let mut session = IncrementalMaxSat::with_config(instance, config);
+            session.set_interrupt(Some(interrupt));
+            session.solve_unless_interrupted()
+        }
+        Algorithm::LinearSu => {
+            let mut solver = LinearSuSolver::new(config);
+            solver.set_interrupt(Some(interrupt));
+            solver.solve(instance)
+        }
+    }
 }
 
 /// A parallel first-to-finish portfolio of MaxSAT solvers.
 ///
 /// Which entry wins depends on thread timing, so on instances with several
 /// optimal models two runs may report different (equally optimal) models.
-/// Callers that need reproducible answers use [`OllSolver`] directly.
-#[derive(Debug, Default)]
+/// Callers that need reproducible answers use [`IncrementalMaxSat`]
+/// directly.
+#[derive(Default)]
 pub struct PortfolioSolver {
-    config: PortfolioConfig,
+    branching: BranchingChoice,
+    interrupt: Option<InterruptHook>,
+}
+
+impl std::fmt::Debug for PortfolioSolver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PortfolioSolver")
+            .field("branching", &self.branching)
+            .field("interruptible", &self.interrupt.is_some())
+            .finish()
+    }
 }
 
 impl PortfolioSolver {
-    /// Creates a portfolio with the given configuration.
-    pub fn new(config: PortfolioConfig) -> Self {
-        PortfolioSolver { config }
-    }
-
-    fn run_entry(
-        entry: &PortfolioEntry,
-        instance: &WcnfInstance,
-        stop: &AtomicBool,
-    ) -> Option<MaxSatResult> {
-        match entry {
-            PortfolioEntry::Oll(config) => {
-                OllSolver::new(config.clone()).solve_with_stop(instance, stop)
-            }
-            PortfolioEntry::LinearSu(config) => {
-                LinearSuSolver::new(config.clone()).solve_with_stop(instance, stop)
-            }
+    /// Creates a portfolio whose entries all use `branching`.
+    pub fn new(branching: BranchingChoice) -> Self {
+        PortfolioSolver {
+            branching,
+            interrupt: None,
         }
     }
-}
 
-impl MaxSatAlgorithm for PortfolioSolver {
-    fn name(&self) -> &'static str {
-        "portfolio"
+    /// Installs (or clears) a cancellation probe that every entry's SAT
+    /// search polls. When it fires, [`solve`](PortfolioSolver::solve)
+    /// returns `None`.
+    pub fn set_interrupt(&mut self, hook: Option<InterruptHook>) {
+        self.interrupt = hook;
     }
 
-    fn solve_with_stop(&self, instance: &WcnfInstance, stop: &AtomicBool) -> Option<MaxSatResult> {
-        if self.config.entries.is_empty() {
-            return Some(MaxSatResult {
-                outcome: MaxSatOutcome::Unsatisfiable,
-                stats: MaxSatStats {
-                    algorithm: "portfolio(empty)".to_string(),
-                    ..MaxSatStats::default()
-                },
-            });
-        }
-
-        let shared_stop = Arc::new(AtomicBool::new(false));
-        let instance = Arc::new(instance.clone());
-        let (sender, receiver) = mpsc::channel::<Option<MaxSatResult>>();
-        let handles: Vec<_> = self
-            .config
-            .entries
-            .iter()
-            .map(|entry| {
-                // Each thread owns a copy of its entry's configuration.
-                let entry = entry.clone();
-                let instance = Arc::clone(&instance);
-                let shared_stop = Arc::clone(&shared_stop);
+    /// Races the entries on scoped threads and returns the first result,
+    /// labelled `portfolio[<entry>]`; `None` when the
+    /// [interrupt hook](PortfolioSolver::set_interrupt) fired first. Once one
+    /// entry finishes, the others are stopped by their own hooks in the
+    /// middle of their SAT calls.
+    pub fn solve(&self, instance: &WcnfInstance) -> Option<MaxSatResult> {
+        // Raised once a winner is in. It publishes nothing else (the result
+        // travels through the channel), so relaxed accesses suffice.
+        let decided = Arc::new(AtomicBool::new(false));
+        let (sender, receiver) = mpsc::channel();
+        let winner = thread::scope(|scope| {
+            for (algorithm, config) in line_up(self.branching) {
+                let decided = Arc::clone(&decided);
+                let caller = self.interrupt.clone();
+                let interrupt: InterruptHook = Arc::new(move || {
+                    decided.load(Ordering::Relaxed) || caller.as_ref().is_some_and(|hook| hook())
+                });
                 let sender = sender.clone();
-                thread::spawn(move || {
-                    let result = Self::run_entry(&entry, &instance, &shared_stop);
-                    let _ = sender.send(result);
-                })
-            })
-            .collect();
-        drop(sender);
-
-        let mut winner: Option<MaxSatResult> = None;
-        // Also honour the caller's stop flag while waiting.
-        while let Ok(message) = receiver.recv() {
-            if stop.load(Ordering::Relaxed) {
-                break;
+                scope.spawn(move || {
+                    // The receiver outlives the scope, so this cannot fail.
+                    let _ = sender.send(run_entry(algorithm, config, instance, interrupt));
+                });
             }
-            if let Some(result) = message {
-                winner = Some(result);
-                break;
-            }
-        }
-        shared_stop.store(true, Ordering::Relaxed);
-        for handle in handles {
-            let _ = handle.join();
-        }
+            drop(sender);
+            let winner = receiver.iter().flatten().next();
+            decided.store(true, Ordering::Relaxed);
+            winner
+        });
         let mut winner = winner?;
         winner.stats.algorithm = format!("portfolio[{}]", winner.stats.algorithm);
         Some(winner)
@@ -179,8 +147,9 @@ impl MaxSatAlgorithm for PortfolioSolver {
 mod tests {
     use super::*;
     use crate::tests_support::{brute_force_optimum, random_instance};
-    use crate::IncrementalMaxSat;
+    use crate::MaxSatOutcome;
     use sat_solver::{Lit, Var};
+    use std::sync::atomic::AtomicU64;
 
     fn pos(i: usize) -> Lit {
         Lit::positive(Var::from_index(i))
@@ -190,9 +159,15 @@ mod tests {
     }
 
     /// Runs one entry on its own, outside the race.
-    fn run_alone(entry: &PortfolioEntry, instance: &WcnfInstance) -> MaxSatResult {
-        PortfolioSolver::run_entry(entry, instance, &AtomicBool::new(false))
+    fn run_alone(entry: &(Algorithm, SolverConfig), instance: &WcnfInstance) -> MaxSatResult {
+        run_entry(entry.0, entry.1.clone(), instance, Arc::new(|| false))
             .expect("an entry that is never stopped finishes")
+    }
+
+    fn solve(instance: &WcnfInstance) -> MaxSatResult {
+        PortfolioSolver::default()
+            .solve(instance)
+            .expect("no interrupt hook is installed")
     }
 
     #[test]
@@ -202,7 +177,7 @@ mod tests {
         inst.add_soft([neg(0)], 4);
         inst.add_soft([neg(1)], 8);
         inst.add_soft([neg(2)], 6);
-        let result = PortfolioSolver::default().solve(&inst);
+        let result = solve(&inst);
         assert_eq!(result.outcome.cost(), Some(4));
         assert!(result.stats.algorithm.starts_with("portfolio["));
     }
@@ -215,9 +190,9 @@ mod tests {
         inst.add_hard([pos(0), pos(1)]);
         inst.add_soft([neg(0)], 2);
         inst.add_soft([neg(1)], 1);
-        let lead = run_alone(&default_entries()[0], &inst);
-        let a = OllSolver::default().solve(&inst);
-        let b = OllSolver::default().solve(&inst);
+        let lead = run_alone(&line_up(BranchingChoice::Vsids)[0], &inst);
+        let a = IncrementalMaxSat::new(&inst).solve();
+        let b = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.outcome, lead.outcome);
         assert_eq!(a.outcome.cost(), Some(1));
@@ -241,7 +216,7 @@ mod tests {
         }
         for (index, inst) in instances.iter().enumerate() {
             let mut costs = Vec::new();
-            for entry in &default_entries() {
+            for entry in &line_up(BranchingChoice::Vsids) {
                 let first = run_alone(entry, inst);
                 let second = run_alone(entry, inst);
                 assert_eq!(
@@ -271,7 +246,7 @@ mod tests {
             let mut session = IncrementalMaxSat::new(&inst);
             for _ in 0..3 {
                 let incremental = session.solve();
-                for entry in &default_entries() {
+                for entry in &line_up(BranchingChoice::Vsids) {
                     assert_eq!(
                         incremental.outcome.cost(),
                         run_alone(entry, &grown).outcome.cost(),
@@ -296,7 +271,7 @@ mod tests {
         inst.add_hard([pos(0)]);
         inst.add_hard([neg(0)]);
         inst.add_soft([pos(0)], 3);
-        let result = PortfolioSolver::default().solve(&inst);
+        let result = solve(&inst);
         assert_eq!(result.outcome, MaxSatOutcome::Unsatisfiable);
     }
 
@@ -305,18 +280,76 @@ mod tests {
         for seed in 900..910 {
             let inst = random_instance(seed, 8, 14, 6);
             let expected = brute_force_optimum(&inst);
-            let result = PortfolioSolver::default().solve(&inst);
+            let result = solve(&inst);
             assert_eq!(result.outcome.cost(), expected, "seed {seed}");
         }
     }
 
+    /// A hook that fires from its `n`-th poll on, and its poll count.
+    fn firing_hook(n: u64) -> (InterruptHook, Arc<AtomicU64>) {
+        let polls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&polls);
+        let hook: InterruptHook =
+            Arc::new(move || counter.fetch_add(1, Ordering::Relaxed) + 1 >= n);
+        (hook, polls)
+    }
+
+    /// Nine pigeons into eight holes, placed only when the guard `x0` holds,
+    /// and the soft clause `[x0]`: the optimum drops the guard, but a SAT
+    /// call that assumes or asserts the guard first refutes the pigeonhole
+    /// principle, which takes tens of thousands of conflicts.
+    fn guarded_pigeonhole() -> WcnfInstance {
+        let (pigeons, holes) = (9, 8);
+        let guard = pos(0);
+        let placed = |i: usize, j: usize| pos(1 + i * holes + j);
+        let mut inst = WcnfInstance::with_vars(1 + pigeons * holes);
+        for i in 0..pigeons {
+            inst.add_hard(std::iter::once(!guard).chain((0..holes).map(|j| placed(i, j))));
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
+                    inst.add_hard([!placed(i1, j), !placed(i2, j)]);
+                }
+            }
+        }
+        inst.add_soft([guard], 1);
+        inst
+    }
+
+    /// A hook stops every Step 5 solver in the middle of a SAT call. The
+    /// CDCL search polls it when a call starts and at every restart, so its
+    /// third poll comes after a restart of the call that refutes the
+    /// pigeonhole — the first call of OLL, the second of linear SU (whose
+    /// first call finds the guard-free model without a conflict). Each
+    /// solver then returns no result without polling again.
     #[test]
-    fn empty_portfolio_reports_unsatisfiable() {
-        let solver = PortfolioSolver::new(PortfolioConfig {
-            entries: Vec::new(),
-        });
-        let inst = WcnfInstance::with_vars(1);
-        let result = solver.solve(&inst);
-        assert_eq!(result.outcome, MaxSatOutcome::Unsatisfiable);
+    fn an_interrupt_hook_stops_every_solver_mid_search() {
+        const FIRING_POLL: u64 = 3;
+        let pigeonhole = guarded_pigeonhole();
+        // Softs weighted 2⁰…2¹⁴ on free variables give 32,768 distinct
+        // penalty sums with the guard's, past what linear SU encodes, so it
+        // falls back to OLL.
+        let mut too_wide = guarded_pigeonhole();
+        for i in 0..15 {
+            let free = Lit::positive(too_wide.new_var());
+            too_wide.add_soft([!free], 1 << i);
+        }
+        for instance in [&pigeonhole, &too_wide] {
+            let (hook, polls) = firing_hook(FIRING_POLL);
+            let mut linear = LinearSuSolver::default();
+            linear.set_interrupt(Some(hook));
+            assert!(linear.solve(instance).is_none());
+            assert_eq!(polls.load(Ordering::Relaxed), FIRING_POLL);
+        }
+        for (algorithm, config) in line_up(BranchingChoice::Vsids) {
+            let (hook, polls) = firing_hook(FIRING_POLL);
+            assert!(run_entry(algorithm, config, &pigeonhole, hook).is_none());
+            assert_eq!(polls.load(Ordering::Relaxed), FIRING_POLL, "{algorithm:?}");
+        }
+        let (hook, _) = firing_hook(FIRING_POLL);
+        let mut portfolio = PortfolioSolver::default();
+        portfolio.set_interrupt(Some(hook));
+        assert!(portfolio.solve(&pigeonhole).is_none());
     }
 }

@@ -272,7 +272,7 @@ impl MpmcsEncoding {
 mod tests {
     use super::*;
     use fault_tree::examples::{fire_protection_system, redundant_sensor_network};
-    use maxsat_solver::{MaxSatAlgorithm, OllSolver};
+    use maxsat_solver::IncrementalMaxSat;
 
     #[test]
     fn weight_scale_handles_boundary_probabilities() {
@@ -323,9 +323,8 @@ mod tests {
                 EncodingStyle::SuccessTree,
                 WeightScale::default(),
             );
-            let solver = OllSolver::default();
-            let a = solver.solve(direct.instance());
-            let b = solver.solve(success.instance());
+            let a = IncrementalMaxSat::new(direct.instance()).solve();
+            let b = IncrementalMaxSat::new(success.instance()).solve();
             let cut_a = direct.decode(a.outcome.model().expect("optimum"));
             let cut_b = success.decode(b.outcome.model().expect("optimum"));
             assert_eq!(a.outcome.cost(), b.outcome.cost(), "{}", tree.name());

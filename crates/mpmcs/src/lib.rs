@@ -25,9 +25,12 @@
 //!    weights.
 //! 4. **Weighted Partial MaxSAT instance** — hard clauses from step 2, one
 //!    soft clause per basic event ([`MpmcsEncoding`]).
-//! 5. **Parallel MaxSAT resolution** — the portfolio of
-//!    [`maxsat_solver::PortfolioSolver`] (or a single algorithm, see
-//!    [`AlgorithmChoice`]).
+//! 5. **Parallel MaxSAT resolution** — [`AlgorithmChoice`] picks one of
+//!    three solvers: the [`maxsat_solver::PortfolioSolver`] race of OLL and
+//!    linear SAT–UNSAT entries (the paper's design), core-guided OLL alone
+//!    ([`maxsat_solver::IncrementalMaxSat`], the deterministic default) or
+//!    [`maxsat_solver::LinearSuSolver`]. Enumerations drain one OLL session
+//!    ([`McsStream`]).
 //! 6. **Reverse log-space transformation** — `P = exp(−Σ wᵢ)` plus a
 //!    minimality-repair and verification pass ([`verify`]).
 //!

@@ -4,8 +4,7 @@ use std::time::{Duration, Instant};
 
 use fault_tree::{CutSet, FaultTree};
 use maxsat_solver::{
-    LinearSuConfig, LinearSuSolver, MaxSatAlgorithm, MaxSatOutcome, MaxSatStats, OllConfig,
-    OllSolver, PortfolioConfig, PortfolioSolver,
+    IncrementalMaxSat, LinearSuSolver, MaxSatOutcome, MaxSatResult, MaxSatStats, PortfolioSolver,
 };
 
 use sat_solver::{BranchingChoice, SolverConfig};
@@ -49,8 +48,6 @@ pub struct MpmcsOptions {
     pub encoding: EncodingStyle,
     /// The probability-to-weight scaling (paper Step 3).
     pub scale: WeightScale,
-    /// Verify every answer against the fault tree (cheap, enabled by default).
-    pub verify: bool,
     /// The branching heuristic driving every underlying SAT solver's
     /// decisions (VSIDS by default; see
     /// [`BranchingChoice`](sat_solver::BranchingChoice)).
@@ -59,27 +56,24 @@ pub struct MpmcsOptions {
 
 impl MpmcsOptions {
     /// The default options: core-guided OLL, direct encoding, default
-    /// weight scale, verification enabled.
+    /// weight scale.
     pub fn new() -> Self {
         MpmcsOptions {
             algorithm: AlgorithmChoice::Oll,
             encoding: EncodingStyle::Direct,
             scale: WeightScale::default(),
-            verify: true,
             branching: BranchingChoice::Vsids,
         }
     }
 
-    /// The configuration of every OLL run these options start: one-shot
-    /// [`AlgorithmChoice::Oll`] solves and the [`McsStream`](crate::McsStream)
-    /// session every enumeration drains, so both honour the configured
-    /// branching heuristic.
-    pub(crate) fn oll_config(&self) -> OllConfig {
-        OllConfig {
-            sat_config: SolverConfig {
-                branching: self.branching,
-                ..SolverConfig::default()
-            },
+    /// The SAT configuration of every solver these options start: the
+    /// Step 5 solver of a one-shot [`solve`](MpmcsSolver::solve) and the
+    /// [`McsStream`](crate::McsStream) session every enumeration drains, so
+    /// all of them honour the configured branching heuristic.
+    pub(crate) fn sat_config(&self) -> SolverConfig {
+        SolverConfig {
+            branching: self.branching,
+            ..SolverConfig::default()
         }
     }
 }
@@ -109,6 +103,28 @@ pub struct MpmcsSolution {
 }
 
 impl MpmcsSolution {
+    /// Paper Step 6 for one MaxSAT optimum: decodes `model` into a cut set,
+    /// repairs its minimality, prices it and checks it against the tree.
+    pub(crate) fn from_model(
+        tree: &FaultTree,
+        encoding: &MpmcsEncoding,
+        model: &[bool],
+        stats: MaxSatStats,
+        duration: Duration,
+    ) -> Result<Self, MpmcsError> {
+        let cut_set = verify::minimise(tree, &encoding.decode(model));
+        let (log_weight, probability) = encoding.cut_probability(&cut_set);
+        verify::check_solution(tree, &cut_set, probability)?;
+        Ok(MpmcsSolution {
+            cut_set,
+            probability,
+            log_weight,
+            algorithm: stats.algorithm.clone(),
+            stats,
+            duration,
+        })
+    }
+
     /// The names of the events in the cut set, in identifier order.
     pub fn event_names(&self, tree: &FaultTree) -> Vec<String> {
         self.cut_set
@@ -127,8 +143,7 @@ pub struct MpmcsSolver {
 }
 
 impl MpmcsSolver {
-    /// Creates a solver with the default options (core-guided OLL,
-    /// verification enabled).
+    /// Creates a solver with the default options (core-guided OLL).
     pub fn new() -> Self {
         MpmcsSolver {
             options: MpmcsOptions::new(),
@@ -146,7 +161,7 @@ impl MpmcsSolver {
     }
 
     /// Encodes the tree (paper Steps 1–4) without solving. Useful for
-    /// inspection, WCNF export and the benchmark harness.
+    /// inspection and the benchmark harness.
     pub fn encode(&self, tree: &FaultTree) -> MpmcsEncoding {
         MpmcsEncoding::with_style(tree, self.options.encoding, self.options.scale)
     }
@@ -157,8 +172,8 @@ impl MpmcsSolver {
     /// # Errors
     ///
     /// * [`MpmcsError::NoCutSet`] when the top event cannot occur.
-    /// * [`MpmcsError::Internal`] if verification is enabled and an internal
-    ///   invariant is violated (indicates a bug).
+    /// * [`MpmcsError::Internal`] if an internal invariant is violated
+    ///   (indicates a bug).
     pub fn solve(&self, tree: &FaultTree) -> Result<MpmcsSolution, MpmcsError> {
         let encoding = self.encode(tree);
         let start = Instant::now();
@@ -167,42 +182,22 @@ impl MpmcsSolver {
         match result.outcome {
             MaxSatOutcome::Unsatisfiable => Err(MpmcsError::NoCutSet),
             MaxSatOutcome::Optimum { ref model, .. } => {
-                let raw_cut = encoding.decode(model);
-                let cut = verify::minimise(tree, &raw_cut);
-                let (log_weight, probability) = encoding.cut_probability(&cut);
-                if self.options.verify {
-                    verify::check_solution(tree, &cut, probability)?;
-                }
-                Ok(MpmcsSolution {
-                    cut_set: cut,
-                    probability,
-                    log_weight,
-                    algorithm: result.stats.algorithm.clone(),
-                    stats: result.stats,
-                    duration,
-                })
+                MpmcsSolution::from_model(tree, &encoding, model, result.stats, duration)
             }
         }
     }
 
-    fn run_maxsat(&self, encoding: &MpmcsEncoding) -> maxsat_solver::MaxSatResult {
+    fn run_maxsat(&self, encoding: &MpmcsEncoding) -> MaxSatResult {
         let instance = encoding.instance();
-        let branching = self.options.branching;
-        match self.options.algorithm {
+        let config = self.options.sat_config();
+        let result = match self.options.algorithm {
             AlgorithmChoice::Portfolio => {
-                PortfolioSolver::new(PortfolioConfig::default().with_branching(branching))
-                    .solve(instance)
+                PortfolioSolver::new(self.options.branching).solve(instance)
             }
-            AlgorithmChoice::Oll => OllSolver::new(self.options.oll_config()).solve(instance),
-            AlgorithmChoice::LinearSu => LinearSuSolver::new(LinearSuConfig {
-                sat_config: SolverConfig {
-                    branching,
-                    ..SolverConfig::default()
-                },
-                ..LinearSuConfig::default()
-            })
-            .solve(instance),
-        }
+            AlgorithmChoice::Oll => Some(IncrementalMaxSat::with_config(instance, config).solve()),
+            AlgorithmChoice::LinearSu => LinearSuSolver::new(config).solve(instance),
+        };
+        result.expect("no interrupt hook is installed")
     }
 }
 

@@ -29,7 +29,6 @@ use sat_solver::{InterruptHook, SolverStats};
 use crate::encode::MpmcsEncoding;
 use crate::error::MpmcsError;
 use crate::solver::{MpmcsOptions, MpmcsSolution, MpmcsSolver};
-use crate::verify;
 
 /// One step of a [`McsStream`].
 ///
@@ -93,7 +92,6 @@ pub struct McsStream {
     /// Exact scaled cost shared by every member of `pending`.
     pending_cost: u64,
     exhausted: bool,
-    verify: bool,
     /// Time not yet charged to a solution — the encoding and session
     /// construction, then every session call that found none (group-closing
     /// probes, interrupted calls) — charged to the next discovered solution.
@@ -120,9 +118,8 @@ impl MpmcsSolver {
     /// Streams always run through the deterministic core-guided session; the
     /// [`algorithm`](MpmcsOptions::algorithm) option selects the solver of a
     /// single [`solve`](MpmcsSolver::solve) only and is ignored here. The
-    /// [`verify`](MpmcsOptions::verify), [`encoding`](MpmcsOptions::encoding),
-    /// [`scale`](MpmcsOptions::scale) and
-    /// [`branching`](MpmcsOptions::branching) options are honoured.
+    /// [`encoding`](MpmcsOptions::encoding), [`scale`](MpmcsOptions::scale)
+    /// and [`branching`](MpmcsOptions::branching) options are honoured.
     pub fn stream(&self, tree: Arc<FaultTree>) -> McsStream {
         McsStream::open(tree, *self.options())
     }
@@ -134,7 +131,7 @@ impl McsStream {
     pub fn open(tree: Arc<FaultTree>, options: MpmcsOptions) -> McsStream {
         let setup_start = Instant::now();
         let mut encoding = MpmcsEncoding::with_style(&tree, options.encoding, options.scale);
-        let session = IncrementalMaxSat::owned(encoding.take_instance(), options.oll_config());
+        let session = IncrementalMaxSat::owned(encoding.take_instance(), options.sat_config());
         McsStream {
             tree,
             encoding,
@@ -143,7 +140,6 @@ impl McsStream {
             pending: Vec::new(),
             pending_cost: 0,
             exhausted: false,
-            verify: options.verify,
             uncharged: setup_start.elapsed(),
             delivered: 0,
         }
@@ -211,8 +207,8 @@ impl McsStream {
     /// # Errors
     ///
     /// [`MpmcsError::NoCutSet`] when the tree has no cut set at all (only
-    /// possible on the first step), and verification errors when
-    /// [`MpmcsOptions::verify`] is set and an internal invariant is violated.
+    /// possible on the first step), and verification errors when an
+    /// internal invariant is violated.
     pub fn next_step(&mut self) -> Result<StreamStep, MpmcsError> {
         loop {
             if let Some(solution) = self.ready.pop_front() {
@@ -291,21 +287,15 @@ impl McsStream {
             self.close_pending_group();
             return Ok(true);
         };
-        let raw_cut = self.encoding.decode(model);
-        let cut = verify::minimise(&self.tree, &raw_cut);
-        let (log_weight, probability) = self.encoding.cut_probability(&cut);
-        if self.verify {
-            verify::check_solution(&self.tree, &cut, probability)?;
-        }
-        self.session.add_hard(self.encoding.blocking_clause(&cut));
-        let solution = MpmcsSolution {
-            cut_set: cut,
-            probability,
-            log_weight,
-            algorithm: result.stats.algorithm.clone(),
-            stats: result.stats,
-            duration: std::mem::take(&mut self.uncharged),
-        };
+        let solution = MpmcsSolution::from_model(
+            &self.tree,
+            &self.encoding,
+            model,
+            result.stats,
+            std::mem::take(&mut self.uncharged),
+        )?;
+        self.session
+            .add_hard(self.encoding.blocking_clause(&solution.cut_set));
         let cost = self.cost(&solution);
         debug_assert!(
             self.pending.is_empty() || cost == self.pending_cost,
@@ -320,6 +310,7 @@ impl McsStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify;
     use fault_tree::examples::{fire_protection_system, pressure_tank_system};
     use fault_tree::{CutSet, EventId};
 
@@ -528,7 +519,7 @@ mod tests {
             };
             let mut session = IncrementalMaxSat::owned(
                 encoding.instance().clone(),
-                MpmcsOptions::new().oll_config(),
+                MpmcsOptions::new().sat_config(),
             );
             let mut expected = Vec::new();
             loop {

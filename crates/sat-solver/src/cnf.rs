@@ -1,7 +1,7 @@
 //! A plain CNF formula container, independent of any solver state.
 //!
 //! [`CnfFormula`] is the exchange format between the Tseitin encoder, the
-//! DIMACS reader/writer, the MaxSAT layer and the SAT solver itself.
+//! MaxSAT layer and the SAT solver itself.
 
 use crate::lit::{Lit, Var};
 

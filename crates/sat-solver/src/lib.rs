@@ -4,8 +4,7 @@
 //! everything the MaxSAT layer and the MPMCS pipeline need:
 //!
 //! * [`Lit`] / [`Var`] — compact literal and variable types.
-//! * [`CnfFormula`] — a clause database that can be built incrementally,
-//!   read from and written to DIMACS (see [`dimacs`]).
+//! * [`CnfFormula`] — a clause database that can be built incrementally.
 //! * [`BoolExpr`] and [`tseitin::TseitinEncoder`] — an arbitrary Boolean
 //!   expression tree (with AND/OR/NOT and `at-least-k` voting operators) and
 //!   its polynomial-size, equisatisfiable CNF conversion (paper Step 2).
@@ -18,8 +17,10 @@
 //!   **solving under assumptions** with final-core extraction (needed by the
 //!   core-guided MaxSAT algorithms). One solver serves a whole sequence of
 //!   calls: fresh variables and clauses may be added between them, and
-//!   learnt clauses, activities and phases carry over. The MaxSAT layer and
-//!   the cut-set enumeration loop are built on it.
+//!   learnt clauses, activities and phases carry over. An installed
+//!   [`InterruptHook`] is polled at every restart and every 512 conflicts,
+//!   so a caller can stop a call mid-search. The MaxSAT layer and the
+//!   cut-set enumeration loop are built on it.
 //!
 //! # Example
 //!
@@ -50,7 +51,6 @@
 pub mod branching;
 mod clause;
 mod cnf;
-pub mod dimacs;
 mod expr;
 mod heap;
 mod inprocess;

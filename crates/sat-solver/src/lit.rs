@@ -88,18 +88,7 @@ impl Lit {
         Lit(code as u32)
     }
 
-    /// Converts from a DIMACS-style non-zero integer (`-3` ⇒ ¬v2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dimacs == 0`.
-    pub fn from_dimacs(dimacs: i64) -> Self {
-        assert!(dimacs != 0, "DIMACS literal must be non-zero");
-        let var = Var((dimacs.unsigned_abs() - 1) as u32);
-        Lit::new(var, dimacs < 0)
-    }
-
-    /// Converts to a DIMACS-style non-zero integer.
+    /// Converts to a DIMACS-style non-zero integer (¬v2 ⇒ `-3`).
     pub fn to_dimacs(self) -> i64 {
         let v = self.var().index() as i64 + 1;
         if self.is_negative() {
@@ -219,15 +208,10 @@ mod tests {
     #[test]
     fn dimacs_conversion_round_trips() {
         for d in [1i64, -1, 2, -2, 17, -42] {
-            let lit = Lit::from_dimacs(d);
+            let lit = Lit::new(Var::from_index(d.unsigned_abs() as usize - 1), d < 0);
             assert_eq!(lit.to_dimacs(), d);
+            assert_eq!(lit.to_string(), d.to_string());
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn dimacs_zero_is_rejected() {
-        let _ = Lit::from_dimacs(0);
     }
 
     #[test]
