@@ -287,4 +287,14 @@ mod tests {
             assert_eq!(linear.outcome.cost(), oll.outcome.cost(), "seed {seed}");
         }
     }
+
+    #[test]
+    fn stop_flag_interrupts_the_search() {
+        let mut inst = WcnfInstance::with_vars(2);
+        inst.add_hard([pos(0), pos(1)]);
+        inst.add_soft([neg(0)], 1);
+        let mut solver = LinearSuSolver::default();
+        solver.set_interrupt(Some(std::sync::Arc::new(|| true)));
+        assert!(solver.solve(&inst).is_none());
+    }
 }

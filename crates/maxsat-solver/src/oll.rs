@@ -68,7 +68,7 @@ pub(crate) fn extract_model(model: &sat_solver::Model, num_vars: usize) -> Vec<b
 mod tests {
     use super::*;
     use crate::tests_support::{brute_force_optimum, random_instance, verify_optimum};
-    use crate::{IncrementalMaxSat, MaxSatOutcome};
+    use crate::{BoundedSolve, IncrementalMaxSat, MaxSatOutcome};
 
     fn pos(i: usize) -> Lit {
         Lit::positive(Var::from_index(i))
@@ -169,5 +169,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stop_flag_interrupts_the_search() {
+        let mut inst = WcnfInstance::with_vars(2);
+        inst.add_hard([pos(0), pos(1)]);
+        inst.add_soft([neg(0)], 1);
+        let mut oll = IncrementalMaxSat::new(&inst);
+        oll.set_interrupt(Some(std::sync::Arc::new(|| true)));
+        assert_eq!(oll.solve_within(u64::MAX), BoundedSolve::Interrupted);
     }
 }
