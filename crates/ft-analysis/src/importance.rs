@@ -2,94 +2,56 @@
 //! top event.
 //!
 //! The MPMCS of the paper is itself a prioritisation aid; classical FTA
-//! complements it with per-event importance measures. This module implements
-//! the two most common ones over a set of minimal cut sets:
+//! complements it with per-event importance measures. [`ImportanceTable`]
+//! holds six per event: Birnbaum `I_B(e) = ∂P(top)/∂p(e)`, Fussell–Vesely
+//! (the share of the top-event probability attributable to cut sets
+//! containing `e`, with the min-cut upper bound, the standard practice),
+//! RAW, RRW, criticality and structural importance.
 //!
-//! * **Birnbaum importance** `I_B(e) = ∂P(top)/∂p(e)`, computed exactly from
-//!   a caller-provided top-event probability function by evaluating the tree
-//!   with `p(e)` forced to 1 and to 0;
-//! * **Fussell–Vesely importance** `I_FV(e)`: the fraction of the top-event
-//!   probability attributable to cut sets containing `e` (computed with the
-//!   min-cut upper bound, the standard practice).
-//!
-//! [`ImportanceTable::compute`] adds Risk Achievement Worth, Risk Reduction
-//! Worth, criticality and structural importance, deriving the first three
-//! from the same conditioned probabilities as Birnbaum importance.
+//! All but Fussell–Vesely come from `4n + 1` exact top-event probabilities
+//! of one structure under re-priced events. [`ImportanceTable::repriced`]
+//! asks them of an oracle over per-event prices, so one compiled ROBDD
+//! answers all of them by requantification (the facade's `importance()`);
+//! [`ImportanceTable::compute`] is the tree-valued reference, which asks
+//! each of one re-priced `FaultTree` copy.
 
 use fault_tree::{CutSet, EventId, FaultTree, Probability};
-
-use crate::quant;
-
-/// Birnbaum importance of every event, computed from an exact top-event
-/// probability oracle (for example
-/// `|t| bdd_engine::compile_fault_tree(t, ...).top_event_probability(t)`).
-///
-/// `I_B(e) = P(top | p(e)=1) − P(top | p(e)=0)`.
-pub fn birnbaum<F>(tree: &FaultTree, mut top_probability: F) -> Vec<f64>
-where
-    F: FnMut(&FaultTree) -> f64,
-{
-    let mut importances = Vec::with_capacity(tree.num_events());
-    for event in tree.event_ids() {
-        let with = probability_with(tree, event, 1.0);
-        let without = probability_with(tree, event, 0.0);
-        importances.push(top_probability(&with) - top_probability(&without));
-    }
-    importances
-}
-
-fn probability_with(tree: &FaultTree, event: EventId, p: f64) -> FaultTree {
-    let mut events = tree.events().to_vec();
-    events[event.index()].set_probability(Probability::new(p).expect("0 and 1 are valid"));
-    FaultTree::from_parts(tree.name(), events, tree.gates().to_vec(), tree.top())
-        .expect("modifying a probability keeps the tree valid")
-}
 
 /// Fussell–Vesely importance of every event, computed from the minimal cut
 /// sets with the min-cut upper bound.
 ///
 /// `I_FV(e) ≈ P(∪ {K : e ∈ K}) / P(∪ K)`; events appearing in no cut set get
 /// importance 0. When the tree has no cut sets at all, every importance is 0.
+/// One pass prices each cut set once and multiplies `1 − P(K)` into each
+/// member's accumulator in family order: the factors and order of
+/// [`crate::quant::min_cut_upper_bound`], so the bits are the same.
 pub fn fussell_vesely(tree: &FaultTree, cut_sets: &[CutSet]) -> Vec<f64> {
-    let total = quant::min_cut_upper_bound(tree, cut_sets);
-    tree.event_ids()
-        .map(|event| {
+    let mut none_occur = 1.0;
+    let mut none_containing_occur = vec![1.0; tree.num_events()];
+    for cut in cut_sets {
+        let miss = 1.0 - cut.probability(tree);
+        none_occur *= miss;
+        for event in cut.iter() {
+            none_containing_occur[event.index()] *= miss;
+        }
+    }
+    let total = 1.0 - none_occur;
+    none_containing_occur
+        .into_iter()
+        .map(|none| {
             if total <= 0.0 {
-                return 0.0;
+                0.0
+            } else {
+                (1.0 - none) / total
             }
-            let containing: Vec<CutSet> = cut_sets
-                .iter()
-                .filter(|c| c.contains(event))
-                .cloned()
-                .collect();
-            quant::min_cut_upper_bound(tree, &containing) / total
         })
         .collect()
 }
 
-/// Structural importance: Birnbaum importance evaluated with every event
-/// probability set to `1/2` — the fraction of configurations of the other
-/// events in which this event is critical. Depends only on the tree
-/// structure, not on the probability data.
-pub fn structural<F>(tree: &FaultTree, top_probability: F) -> Vec<f64>
-where
-    F: FnMut(&FaultTree) -> f64,
-{
-    let events: Vec<_> = tree
-        .events()
-        .iter()
-        .map(|event| {
-            let mut event = event.clone();
-            event.set_probability(Probability::new(0.5).expect("valid"));
-            event
-        })
-        .collect();
-    let uniform = FaultTree::from_parts(tree.name(), events, tree.gates().to_vec(), tree.top())
-        .expect("replacing probabilities keeps the tree valid");
-    birnbaum(&uniform, top_probability)
-}
-
-/// All importance measures for every event, in one table.
+/// All importance measures for every event, in one table: `4n + 1` oracle
+/// answers under re-priced events ([`ImportanceTable::repriced`]; one
+/// compiled ROBDD re-priced in the facade) plus one Fussell–Vesely pass.
+/// [`ImportanceTable::compute`] is the tree-valued reference.
 #[derive(Clone, Debug)]
 pub struct ImportanceTable {
     /// Birnbaum importance per event (index = `EventId::index`).
@@ -102,18 +64,20 @@ pub struct ImportanceTable {
     pub rrw: Vec<f64>,
     /// Criticality importance per event.
     pub criticality: Vec<f64>,
-    /// Structural importance per event.
+    /// Structural importance per event: Birnbaum importance with every
+    /// price at `1/2`, which depends on the structure alone.
     pub structural: Vec<f64>,
 }
 
 impl ImportanceTable {
-    /// Computes every measure from an exact top-probability oracle and the
-    /// minimal cut sets.
+    /// Computes every measure from an exact top-probability oracle over
+    /// per-event prices (index = `EventId::index`) and the minimal cut sets.
     ///
-    /// The oracle runs `4n + 1` times for `n` events: once on `tree`, once
-    /// with each event forced to 1 and to 0, and `2n` times for structural
-    /// importance. The probabilistic measures all derive from the first
-    /// `2n + 1` answers:
+    /// The oracle runs `4n + 1` times for `n` events, on one price vector
+    /// whose flipped entry is restored after each pair of calls: the tree's
+    /// own prices; each event at 1 and then at 0; the all-`1/2` prices with
+    /// each event at 1 and then at 0 (structural importance). The
+    /// probabilistic measures derive from the first `2n + 1` answers:
     ///
     /// * Birnbaum `I_B(e) = P(top | p(e)=1) − P(top | p(e)=0)`;
     /// * Risk Achievement Worth `RAW(e) = P(top | p(e)=1) / P(top)` — how
@@ -126,21 +90,19 @@ impl ImportanceTable {
     /// * criticality `I_C(e) = I_B(e) · p(e) / P(top)` — the probability
     ///   that the event is both critical and occurring, given that the top
     ///   event occurred (0 when `P(top)` is 0).
-    pub fn compute<F>(tree: &FaultTree, cut_sets: &[CutSet], mut top_probability: F) -> Self
+    pub fn repriced<F>(tree: &FaultTree, cut_sets: &[CutSet], mut top_probability: F) -> Self
     where
-        F: FnMut(&FaultTree) -> f64,
+        F: FnMut(&[f64]) -> f64,
     {
-        let baseline = top_probability(tree);
-        let n = tree.num_events();
-        let (mut birnbaum, mut raw, mut rrw, mut criticality) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
-        for event in tree.event_ids() {
-            let with = top_probability(&probability_with(tree, event, 1.0));
-            let without = top_probability(&probability_with(tree, event, 0.0));
+        let mut prices: Vec<f64> = tree
+            .events()
+            .iter()
+            .map(|e| e.probability().value())
+            .collect();
+        let baseline = top_probability(&prices);
+        let (mut birnbaum, mut raw, mut rrw, mut criticality) = (vec![], vec![], vec![], vec![]);
+        for i in 0..prices.len() {
+            let (with, without) = forced(&mut prices, i, &mut top_probability);
             let b = with - without;
             birnbaum.push(b);
             if baseline <= 0.0 {
@@ -148,26 +110,49 @@ impl ImportanceTable {
                 criticality.push(0.0);
             } else {
                 raw.push(with / baseline);
-                criticality.push(b * tree.event(event).probability().value() / baseline);
+                criticality.push(b * prices[i] / baseline);
             }
-            rrw.push(if without <= 0.0 {
-                if baseline <= 0.0 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                baseline / without
+            rrw.push(match (without <= 0.0, baseline <= 0.0) {
+                (false, _) => baseline / without,
+                (true, true) => 1.0,
+                (true, false) => f64::INFINITY,
             });
         }
+        prices.fill(0.5);
+        let structural = (0..prices.len())
+            .map(|i| {
+                let (with, without) = forced(&mut prices, i, &mut top_probability);
+                with - without
+            })
+            .collect();
         ImportanceTable {
             birnbaum,
             fussell_vesely: fussell_vesely(tree, cut_sets),
             raw,
             rrw,
             criticality,
-            structural: structural(tree, &mut top_probability),
+            structural,
         }
+    }
+
+    /// The tree-valued reference of [`ImportanceTable::repriced`]: the same
+    /// oracle calls in the same order, each on a copy of `tree` carrying that
+    /// call's prices (for example `|t| bdd_engine::compile_fault_tree(t,
+    /// ...).top_event_probability(t)`, a fresh diagram per call).
+    pub fn compute<F>(tree: &FaultTree, cut_sets: &[CutSet], mut top_probability: F) -> Self
+    where
+        F: FnMut(&FaultTree) -> f64,
+    {
+        Self::repriced(tree, cut_sets, |prices| {
+            let mut events = tree.events().to_vec();
+            for (event, &p) in events.iter_mut().zip(prices) {
+                event.set_probability(Probability::new(p).expect("prices are probabilities"));
+            }
+            let priced =
+                FaultTree::from_parts(tree.name(), events, tree.gates().to_vec(), tree.top())
+                    .expect("re-pricing keeps the tree valid");
+            top_probability(&priced)
+        })
     }
 
     /// Renders the table as aligned text, one row per event, ordered by
@@ -211,6 +196,18 @@ pub fn rank(importances: &[f64]) -> Vec<(EventId, f64)> {
     ranked
 }
 
+/// `(P(top | p(e)=1), P(top | p(e)=0))` for the event at `index`, whose
+/// price is forced to 1, then to 0, then restored.
+fn forced(prices: &mut [f64], index: usize, oracle: &mut impl FnMut(&[f64]) -> f64) -> (f64, f64) {
+    let price = prices[index];
+    prices[index] = 1.0;
+    let with = oracle(prices);
+    prices[index] = 0.0;
+    let without = oracle(prices);
+    prices[index] = price;
+    (with, without)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +218,9 @@ mod tests {
     #[test]
     fn birnbaum_matches_the_analytic_derivative() {
         let tree = fire_protection_system();
-        let importances = birnbaum(&tree, brute::exact_top_event_probability);
+        let cut_sets = Mocus::new(&tree).minimal_cut_sets().unwrap();
+        let importances =
+            ImportanceTable::compute(&tree, &cut_sets, brute::exact_top_event_probability).birnbaum;
         assert_eq!(importances.len(), 7);
         // For x1: ∂P/∂p1 = p2 * (1 - P(suppression)). Compute analytically.
         let p_trigger = 0.05 * (1.0 - 0.9 * 0.95);
@@ -318,10 +317,6 @@ mod extended_tests {
         let tree = fire_protection_system();
         let baseline = brute::exact_top_event_probability(&tree);
         let table = table(&tree);
-        assert_eq!(
-            table.birnbaum,
-            birnbaum(&tree, brute::exact_top_event_probability)
-        );
         for event in tree.event_ids() {
             let expected =
                 table.birnbaum[event.index()] * tree.event(event).probability().value() / baseline;
@@ -344,9 +339,37 @@ mod extended_tests {
     }
 
     #[test]
+    fn repriced_asks_the_tree_prices_then_each_event_forced_and_restored() {
+        let tree = fire_protection_system();
+        let cut_sets = Mocus::new(&tree).minimal_cut_sets().unwrap();
+        let mut seen: Vec<Vec<f64>> = Vec::new();
+        ImportanceTable::repriced(&tree, &cut_sets, |prices: &[f64]| {
+            seen.push(prices.to_vec());
+            0.5
+        });
+        let own: Vec<f64> = tree
+            .events()
+            .iter()
+            .map(|event| event.probability().value())
+            .collect();
+        let mut expected = vec![own.clone()];
+        for base in [own, vec![0.5; tree.num_events()]] {
+            for i in 0..base.len() {
+                for forced in [1.0, 0.0] {
+                    let mut prices = base.clone();
+                    prices[i] = forced;
+                    expected.push(prices);
+                }
+            }
+        }
+        assert_eq!(expected.len(), 4 * tree.num_events() + 1);
+        assert_eq!(seen, expected);
+    }
+
+    #[test]
     fn structural_importance_ignores_the_probability_data() {
         let tree = fire_protection_system();
-        let structural_values = structural(&tree, brute::exact_top_event_probability);
+        let structural_values = table(&tree).structural;
         // x3 and x4 are symmetric in the structure (both direct OR inputs),
         // even though their probabilities differ.
         let x3 = tree.event_by_name("x3").unwrap();

@@ -707,10 +707,15 @@ impl Analyzer {
     /// criticality, structural), computed from the full minimal-cut-set
     /// family and the exact BDD probability.
     ///
-    /// The ROBDD is compiled once, under the configured variable ordering;
-    /// every conditioned quantification the table needs requantifies that
-    /// one diagram, which is bit-identical to compiling the conditioned tree
-    /// afresh (both orderings depend on the structure alone).
+    /// The ROBDD is compiled once, under the configured variable ordering,
+    /// and [`ImportanceTable::repriced`] requantifies that one diagram
+    /// `4n + 1` times under per-event prices; no conditioned tree is built.
+    /// This is bit-identical to [`ImportanceTable::compute`], the reference
+    /// that compiles each conditioned tree afresh (both orderings depend on
+    /// the structure alone).
+    ///
+    /// [`ImportanceTable::repriced`]: ft_analysis::importance::ImportanceTable::repriced
+    /// [`ImportanceTable::compute`]: ft_analysis::importance::ImportanceTable::compute
     ///
     /// # Errors
     ///
@@ -729,10 +734,10 @@ impl Analyzer {
             .collect();
         let compiled = bdd_engine::compile_fault_tree(&self.tree, self.config.bdd_ordering);
         let mut requantifier = compiled.requantifier();
-        let exact = |conditioned: &FaultTree| {
-            requantifier.probability_with(|event| conditioned.event(event).probability().value())
-        };
-        let table = ft_analysis::importance::ImportanceTable::compute(&self.tree, &cut_sets, exact);
+        let table =
+            ft_analysis::importance::ImportanceTable::repriced(&self.tree, &cut_sets, |prices| {
+                requantifier.probability_with(|event| prices[event.index()])
+            });
         Ok(importance_report(&self.tree, &table))
     }
 

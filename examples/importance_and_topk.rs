@@ -8,7 +8,8 @@
 
 use bdd_engine::{compile_fault_tree, VariableOrdering};
 use fault_tree::examples::pressure_tank_system;
-use ft_analysis::{importance, mocus::Mocus, quant};
+use ft_analysis::importance::{self, ImportanceTable};
+use ft_analysis::{mocus::Mocus, quant};
 use ft_backend::{AnalysisBackend, BackendConfig, BddBackend};
 use mpmcs::MpmcsSolver;
 
@@ -49,18 +50,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         quant::min_cut_upper_bound(&tree, &cut_sets)
     );
 
-    // Importance measures: which component matters most?
-    let birnbaum = importance::birnbaum(&tree, |t| {
-        compile_fault_tree(t, VariableOrdering::DepthFirst).top_event_probability(t)
+    // Importance measures: which component matters most? The table
+    // requantifies the one compiled diagram under re-priced events.
+    let mut requantifier = compiled.requantifier();
+    let table = ImportanceTable::repriced(&tree, &cut_sets, |prices| {
+        requantifier.probability_with(|event| prices[event.index()])
     });
-    let fussell_vesely = importance::fussell_vesely(&tree, &cut_sets);
     println!("\nimportance measures (Birnbaum / Fussell-Vesely):");
-    for (event, importance_value) in importance::rank(&birnbaum) {
+    for (event, importance_value) in importance::rank(&table.birnbaum) {
         println!(
             "  {:<35} I_B = {:.3e}   I_FV = {:.3}",
             tree.event(event).name(),
             importance_value,
-            fussell_vesely[event.index()]
+            table.fussell_vesely[event.index()]
         );
     }
 

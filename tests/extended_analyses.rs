@@ -8,13 +8,14 @@ use fault_tree::examples::{
     aircraft_hydraulic_system, all_examples, fire_protection_system, water_treatment_scada,
 };
 use fault_tree::transform::success_tree;
-use fault_tree::FaultTree;
+use fault_tree::{CutSet, FaultTree};
 use ft_analysis::brute;
 use ft_analysis::ccf::{apply_beta_factor, CcfGroup};
-use ft_analysis::importance::ImportanceTable;
+use ft_analysis::importance::{fussell_vesely, ImportanceTable};
 use ft_analysis::mocus::Mocus;
 use ft_analysis::modules::{independent_top_probability, ModularReport};
 use ft_analysis::pathset::{is_minimal_path_set, maximum_reliability_path_set, minimal_path_sets};
+use ft_analysis::quant::min_cut_upper_bound;
 use ft_generators::{modular_tree, replicated_fps, Family};
 use mpmcs::{EnumerationLimit, MpmcsSolver};
 
@@ -167,6 +168,65 @@ fn importance_table_is_consistent_with_the_mpmcs_ranking() {
     // RAW and RRW are at least 1 everywhere on a coherent tree.
     assert!(table.raw.iter().all(|&v| v >= 1.0 - 1e-12));
     assert!(table.rrw.iter().all(|&v| v >= 1.0 - 1e-12));
+}
+
+/// Fussell–Vesely importance by its definition, kept as the reference: the
+/// min-cut upper bound over the cut sets that contain the event, divided by
+/// the bound over all cut sets.
+fn fussell_vesely_by_definition(tree: &FaultTree, cut_sets: &[CutSet]) -> Vec<f64> {
+    let total = min_cut_upper_bound(tree, cut_sets);
+    tree.event_ids()
+        .map(|event| {
+            if total <= 0.0 {
+                return 0.0;
+            }
+            let containing: Vec<CutSet> = cut_sets
+                .iter()
+                .filter(|c| c.contains(event))
+                .cloned()
+                .collect();
+            min_cut_upper_bound(tree, &containing) / total
+        })
+        .collect()
+}
+
+/// Checks the one-pass `fussell_vesely` against the definition, bit for
+/// bit, over the ZBDD's family of `tree`; returns the family's size.
+fn assert_one_pass_fussell_vesely(tree: &FaultTree, label: &str) -> usize {
+    let zbdd = ZbddAnalysis::new(tree);
+    let cut_sets = zbdd.minimal_cut_sets(usize::MAX);
+    assert_eq!(cut_sets.len() as u128, zbdd.count(), "{label}");
+    let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(fussell_vesely(tree, &cut_sets)),
+        bits(fussell_vesely_by_definition(tree, &cut_sets)),
+        "{label}"
+    );
+    cut_sets.len()
+}
+
+#[test]
+fn one_pass_fussell_vesely_is_bit_identical_to_its_definition() {
+    for (name, tree) in all_examples() {
+        assert_one_pass_fussell_vesely(&tree, name);
+    }
+    for family in Family::all() {
+        for nodes in [30, 40, 50, 60] {
+            for seed in 0..3 {
+                let tree = family.generate(nodes, seed);
+                assert_one_pass_fussell_vesely(
+                    &tree,
+                    &format!("{} {nodes} seed {seed}", family.name()),
+                );
+            }
+        }
+    }
+    // A wide family: every event's accumulator takes thousands of factors.
+    let tree = Family::VotingHeavy.generate(56, 59);
+    assert_eq!(
+        assert_one_pass_fussell_vesely(&tree, "voting-heavy 56 seed 59"),
+        21_384
+    );
 }
 
 #[test]
