@@ -1068,8 +1068,8 @@ serde::impl_serde_struct!(HotPathRow {
 } optional { baseline_ns_per_prop, speedup });
 
 /// The pre-refactor layout's ns/propagation, measured on the seed commit
-/// (per-clause `Vec<Lit>` storage, hard-wired VSIDS, no inprocessing) with
-/// the exact workloads of [`hot_path_rows`] at seed 2020 in a release build:
+/// (per-clause `Vec<Lit>` storage) with the exact workloads of
+/// [`hot_path_rows`] at seed 2020 in a release build:
 /// `(leg, family, target_nodes, ns_per_prop)`. Absolute numbers shift with
 /// the host CPU, which is why [`hot_path_snapshot`] records both sides of
 /// the comparison instead of only the ratio. The grid has no `top-k` rows:
@@ -1164,12 +1164,10 @@ fn hot_path_enumerate(solver: &mut sat_solver::Solver, num_vars: usize, cap: usi
 ///   time by the session's cumulative propagations
 ///   ([`McsStream::solver_stats`]).
 ///
-/// Before any timing is trusted, [`assert_hot_path_equivalence`] proves the
-/// perf-motivated solver features cannot change answers: the top-k leg is
-/// re-run under random branching and must report identical cut sets, and a
-/// full model enumeration is re-run under aggressive inprocessing (a round
-/// before every enumeration step) plus random branching and must produce
-/// the identical projected model set.
+/// Before any timing is trusted, [`assert_hot_path_equivalence`] checks
+/// the MaxSAT answers against an independent engine: the top-8 cut sets of
+/// a 120-node random-mixed tree must equal the BDD backend's ZBDD route,
+/// cut set for cut set and probability bit for bit.
 pub fn hot_path_rows(
     raw_sizes: &[usize],
     topk_sizes: &[usize],
@@ -1239,78 +1237,24 @@ pub fn hot_path_rows(
 /// divergence, so the study — and the CI smoke step running it — fails
 /// instead of publishing timings for a solver that changed answers.
 pub fn assert_hot_path_equivalence(seed: u64) {
-    use sat_solver::{BranchingChoice, CnfFormula, SolveResult, Solver, SolverConfig};
-    use std::collections::BTreeSet;
-
-    // Leg 1: top-k cut sets must not depend on the branching heuristic.
+    // The MaxSAT top-k must equal the ZBDD route's, an engine that shares
+    // no code with the CDCL search, cut set for cut set and bit for bit.
     let tree = Family::RandomMixed.generate(120, seed);
-    let answers = |branching: BranchingChoice| {
-        MpmcsSolver::with_options(MpmcsOptions {
-            branching,
-            ..MpmcsOptions::new()
-        })
+    let maxsat = MpmcsSolver::new()
         .solve_top_k(&tree, 8)
         .expect("generated trees have cut sets")
         .into_iter()
-        .map(|s| (s.cut_set, s.log_weight.to_bits()))
-        .collect::<Vec<_>>()
-    };
+        .map(|s| (s.cut_set, s.probability.to_bits()))
+        .collect::<Vec<_>>();
+    let zbdd = BddBackend::new(VariableOrdering::DepthFirst, 1_000_000)
+        .top_k(&tree, 8)
+        .expect("the ZBDD route answers a 120-node tree")
+        .into_iter()
+        .map(|s| (s.cut_set, s.probability.to_bits()))
+        .collect::<Vec<_>>();
     assert_eq!(
-        answers(BranchingChoice::Vsids),
-        answers(BranchingChoice::Random),
-        "top-k answers diverged across branching heuristics"
-    );
-
-    // Leg 2: the full projected model set must survive aggressive
-    // inprocessing (a round before every enumeration step) plus random
-    // branching. The fire-protection example is small enough to enumerate
-    // to exhaustion.
-    let tree = fire_protection_system();
-    let encoding = MpmcsSolver::new().encode(&tree);
-    let instance = encoding.instance();
-    let project = instance.num_vars().min(16);
-    let models_under = |config: SolverConfig, inprocess_every_step: bool| {
-        use sat_solver::{Lit, Var};
-        let mut cnf = CnfFormula::with_vars(instance.num_vars());
-        for clause in instance.hard_clauses() {
-            cnf.add_clause(clause.iter().copied());
-        }
-        let mut solver = Solver::with_config(config);
-        solver.add_cnf(&cnf);
-        let mut models = BTreeSet::new();
-        loop {
-            if inprocess_every_step {
-                solver.inprocess_now();
-            }
-            let SolveResult::Sat(model) = solver.solve() else {
-                break;
-            };
-            let bits: Vec<bool> = (0..project)
-                .map(|i| model.value(Var::from_index(i)))
-                .collect();
-            assert!(models.insert(bits.clone()), "duplicate projected model");
-            assert!(models.len() <= 4096, "projection unexpectedly large");
-            let block: Vec<Lit> = bits
-                .iter()
-                .enumerate()
-                .map(|(i, &value)| Lit::new(Var::from_index(i), value))
-                .collect();
-            if !solver.add_clause(block) {
-                break;
-            }
-        }
-        models
-    };
-    let random = SolverConfig {
-        branching: BranchingChoice::Random,
-        ..SolverConfig::default()
-    };
-    let plain = models_under(SolverConfig::default(), false);
-    assert!(!plain.is_empty(), "the example tree is satisfiable");
-    assert_eq!(
-        plain,
-        models_under(random, true),
-        "projected model set diverged under aggressive inprocessing"
+        maxsat, zbdd,
+        "top-k answers diverged between the MaxSAT and ZBDD routes"
     );
 }
 

@@ -315,7 +315,6 @@ pub fn config_fingerprint(kind: BackendKind, config: &BackendConfig) -> u64 {
     let mut hasher = DefaultHasher::new();
     kind.name().hash(&mut hasher);
     format!("{:?}", config.algorithm).hash(&mut hasher);
-    format!("{:?}", config.branching).hash(&mut hasher);
     format!("{:?}", config.bdd_ordering).hash(&mut hasher);
     config.mocus_budget.hash(&mut hasher);
     config.bdd_path_budget.hash(&mut hasher);

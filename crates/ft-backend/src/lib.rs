@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use bdd_engine::VariableOrdering;
 use fault_tree::FaultTree;
-use mpmcs::{AlgorithmChoice, BranchingChoice, MpmcsOptions};
+use mpmcs::{AlgorithmChoice, MpmcsOptions};
 
 pub use auto::{choose_backend, StructuralFeatures};
 pub use bdd::BddBackend;
@@ -129,8 +129,6 @@ pub struct BackendConfig {
     /// The MaxSAT solver of [`MaxSatBackend`]'s single-MPMCS query (its
     /// enumerations always drain the OLL session of an [`mpmcs::McsStream`]).
     pub algorithm: AlgorithmChoice,
-    /// The SAT branching heuristic used by [`MaxSatBackend`]'s solvers.
-    pub branching: BranchingChoice,
     /// The ROBDD variable ordering [`BddBackend`] quantifies under (its
     /// ZBDD cut-set route always orders events depth-first).
     pub bdd_ordering: VariableOrdering,
@@ -156,7 +154,6 @@ impl Default for BackendConfig {
     fn default() -> Self {
         BackendConfig {
             algorithm: AlgorithmChoice::Oll,
-            branching: BranchingChoice::Vsids,
             bdd_ordering: VariableOrdering::DepthFirst,
             mocus_budget: 1_000_000,
             bdd_path_budget: 1_000_000,
@@ -405,7 +402,6 @@ pub fn backend_for_cached(
         BackendKind::MaxSat => Box::new(MaxSatBackend::with_options(
             MpmcsOptions {
                 algorithm: config.algorithm,
-                branching: config.branching,
                 ..MpmcsOptions::new()
             },
             config.probability_budget,

@@ -9,7 +9,7 @@ use bdd_engine::VariableOrdering;
 use fault_tree::FaultTree;
 use ft_backend::{AnalysisCache, BackendKind, Budget};
 use ft_session::{Analyzer, SessionError};
-use mpmcs::{AlgorithmChoice, BranchingChoice};
+use mpmcs::AlgorithmChoice;
 
 use crate::manifest::{BatchJob, BatchManifest};
 use crate::report::{
@@ -32,8 +32,6 @@ pub struct BatchConfig {
     /// tree per thread), which keeps per-tree results bit-identical for any
     /// worker count.
     pub algorithm: AlgorithmChoice,
-    /// The SAT decision heuristic used by the MaxSAT backend's solvers.
-    pub branching: BranchingChoice,
     /// Also compute the Birnbaum / Fussell-Vesely / criticality importance
     /// table per tree (needs the MOCUS cut-set enumeration; skipped for trees
     /// that exceed [`BackendConfig::mocus_budget`](ft_backend::BackendConfig)).
@@ -83,7 +81,6 @@ impl Default for BatchConfig {
             jobs: 0,
             top_k: 1,
             algorithm: AlgorithmChoice::Oll,
-            branching: BranchingChoice::Vsids,
             importance: false,
             stats: false,
             backend: BackendKind::MaxSat,
@@ -246,7 +243,6 @@ fn analyze_job(job: &BatchJob, config: &BatchConfig) -> TreeReport {
     let mut analyzer = Analyzer::for_tree(tree)
         .backend(config.backend)
         .algorithm(config.algorithm)
-        .branching(config.branching)
         .bdd_ordering(config.bdd_ordering)
         .preprocess(config.preprocess)
         .budget(config.budget());

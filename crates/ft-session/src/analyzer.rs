@@ -9,7 +9,7 @@ use ft_backend::{
     AnalysisBackend, AnalysisCache, BackendConfig, BackendKind, BackendSolution, Budget,
     CacheHandle, Cached, CancelToken, QueryControl, QueryKind,
 };
-use mpmcs::{AlgorithmChoice, BranchingChoice, McsStream, MpmcsOptions};
+use mpmcs::{AlgorithmChoice, McsStream, MpmcsOptions};
 
 use crate::results::{
     ImportanceReport, ImportanceRow, SessionError, SolutionSet, SweepReport, Termination,
@@ -152,14 +152,6 @@ impl Analyzer {
         self
     }
 
-    /// Selects the SAT decision heuristic used by the MaxSAT backend's
-    /// solvers (default [`BranchingChoice::Vsids`]). Resets the warm state.
-    pub fn branching(mut self, branching: BranchingChoice) -> Self {
-        self.config.branching = branching;
-        self.reset();
-        self
-    }
-
     /// Selects the ROBDD variable ordering (the BDD backend's exact
     /// probabilities and the importance table's). Resets the warm state.
     pub fn bdd_ordering(mut self, ordering: VariableOrdering) -> Self {
@@ -258,7 +250,6 @@ impl Analyzer {
     pub(crate) fn mpmcs_options(&self) -> MpmcsOptions {
         MpmcsOptions {
             algorithm: self.config.algorithm,
-            branching: self.config.branching,
             ..MpmcsOptions::new()
         }
     }

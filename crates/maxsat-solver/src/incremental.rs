@@ -182,11 +182,12 @@ impl<'a> IncrementalMaxSat<'a> {
         Self::from_cow(Cow::Borrowed(instance), config)
     }
 
-    /// Creates a self-contained `'static` session that owns its instance —
-    /// the building block of streaming enumerations, which must carry their
-    /// solver state around without borrowing from an encoding.
-    pub fn owned(instance: WcnfInstance, config: SolverConfig) -> IncrementalMaxSat<'static> {
-        IncrementalMaxSat::from_cow(Cow::Owned(instance), config)
+    /// Creates a self-contained `'static` session that owns its instance,
+    /// with the default configuration — the building block of streaming
+    /// enumerations, which must carry their solver state around without
+    /// borrowing from an encoding.
+    pub fn owned(instance: WcnfInstance) -> IncrementalMaxSat<'static> {
+        IncrementalMaxSat::from_cow(Cow::Owned(instance), SolverConfig::default())
     }
 
     fn from_cow(instance: Cow<'a, WcnfInstance>, config: SolverConfig) -> Self {

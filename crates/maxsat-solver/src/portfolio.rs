@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-use sat_solver::{BranchingChoice, InterruptHook, SolverConfig};
+use sat_solver::{InterruptHook, SolverConfig};
 
 use crate::incremental::IncrementalMaxSat;
 use crate::instance::WcnfInstance;
@@ -26,12 +26,9 @@ enum Algorithm {
 
 /// The line-up: OLL under two SAT configurations plus linear SAT–UNSAT,
 /// mirroring the heterogeneous solver line-up of the original MPMCS4FTA
-/// tool. Every entry uses the portfolio's branching heuristic.
-fn line_up(branching: BranchingChoice) -> [(Algorithm, SolverConfig); 3] {
-    let base = SolverConfig {
-        branching,
-        ..SolverConfig::default()
-    };
+/// tool.
+fn line_up() -> [(Algorithm, SolverConfig); 3] {
+    let base = SolverConfig::default();
     let aggressive = SolverConfig {
         var_decay: 0.85,
         restart_first: 50,
@@ -80,26 +77,21 @@ fn run_entry(
 /// directly.
 #[derive(Default)]
 pub struct PortfolioSolver {
-    branching: BranchingChoice,
     interrupt: Option<InterruptHook>,
 }
 
 impl std::fmt::Debug for PortfolioSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PortfolioSolver")
-            .field("branching", &self.branching)
             .field("interruptible", &self.interrupt.is_some())
             .finish()
     }
 }
 
 impl PortfolioSolver {
-    /// Creates a portfolio whose entries all use `branching`.
-    pub fn new(branching: BranchingChoice) -> Self {
-        PortfolioSolver {
-            branching,
-            interrupt: None,
-        }
+    /// Creates a portfolio of the paper's line-up, with no interrupt hook.
+    pub fn new() -> Self {
+        PortfolioSolver::default()
     }
 
     /// Installs (or clears) a cancellation probe that every entry's SAT
@@ -120,7 +112,7 @@ impl PortfolioSolver {
         let decided = Arc::new(AtomicBool::new(false));
         let (sender, receiver) = mpsc::channel();
         let winner = thread::scope(|scope| {
-            for (algorithm, config) in line_up(self.branching) {
+            for (algorithm, config) in line_up() {
                 let decided = Arc::clone(&decided);
                 let caller = self.interrupt.clone();
                 let interrupt: InterruptHook = Arc::new(move || {
@@ -190,7 +182,7 @@ mod tests {
         inst.add_hard([pos(0), pos(1)]);
         inst.add_soft([neg(0)], 2);
         inst.add_soft([neg(1)], 1);
-        let lead = run_alone(&line_up(BranchingChoice::Vsids)[0], &inst);
+        let lead = run_alone(&line_up()[0], &inst);
         let a = IncrementalMaxSat::new(&inst).solve();
         let b = IncrementalMaxSat::new(&inst).solve();
         assert_eq!(a.outcome, b.outcome);
@@ -216,7 +208,7 @@ mod tests {
         }
         for (index, inst) in instances.iter().enumerate() {
             let mut costs = Vec::new();
-            for entry in &line_up(BranchingChoice::Vsids) {
+            for entry in &line_up() {
                 let first = run_alone(entry, inst);
                 let second = run_alone(entry, inst);
                 assert_eq!(
@@ -246,7 +238,7 @@ mod tests {
             let mut session = IncrementalMaxSat::new(&inst);
             for _ in 0..3 {
                 let incremental = session.solve();
-                for entry in &line_up(BranchingChoice::Vsids) {
+                for entry in &line_up() {
                     assert_eq!(
                         incremental.outcome.cost(),
                         run_alone(entry, &grown).outcome.cost(),
@@ -342,7 +334,7 @@ mod tests {
             assert!(linear.solve(instance).is_none());
             assert_eq!(polls.load(Ordering::Relaxed), FIRING_POLL);
         }
-        for (algorithm, config) in line_up(BranchingChoice::Vsids) {
+        for (algorithm, config) in line_up() {
             let (hook, polls) = firing_hook(FIRING_POLL);
             assert!(run_entry(algorithm, config, &pigeonhole, hook).is_none());
             assert_eq!(polls.load(Ordering::Relaxed), FIRING_POLL, "{algorithm:?}");

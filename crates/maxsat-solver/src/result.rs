@@ -76,12 +76,6 @@ pub struct MaxSatStats {
     /// the OLL session's own count, so there `sat_calls` may exceed
     /// `session_calls`.
     pub session_calls: u64,
-    /// Inprocessing rounds run by the underlying SAT search during this run.
-    pub inprocess_rounds: u64,
-    /// Clauses strengthened by inprocessing during this run.
-    pub inprocess_strengthened: u64,
-    /// Clauses removed by inprocessing during this run.
-    pub inprocess_removed: u64,
     /// Clause-arena compactions performed during this run.
     pub arena_compactions: u64,
 }
@@ -116,9 +110,6 @@ impl MaxSatStats {
             restarts: self.restarts + other.restarts,
             learnt_reused: self.learnt_reused + other.learnt_reused,
             session_calls: self.session_calls + other.session_calls,
-            inprocess_rounds: self.inprocess_rounds + other.inprocess_rounds,
-            inprocess_strengthened: self.inprocess_strengthened + other.inprocess_strengthened,
-            inprocess_removed: self.inprocess_removed + other.inprocess_removed,
             arena_compactions: self.arena_compactions + other.arena_compactions,
         }
     }
@@ -130,9 +121,6 @@ impl MaxSatStats {
         self.propagations = solver.propagations;
         self.restarts = solver.restarts;
         self.learnt_reused = solver.learnt_reused;
-        self.inprocess_rounds = solver.inprocess_rounds;
-        self.inprocess_strengthened = solver.inprocess_strengthened;
-        self.inprocess_removed = solver.inprocess_removed;
         self.arena_compactions = solver.arena_compactions;
     }
 }
@@ -142,8 +130,7 @@ impl fmt::Display for MaxSatStats {
         write!(
             f,
             "{}: sat_calls={} cores={} improvements={} lb={} ub={} conflicts={} \
-             propagations={} restarts={} reused={} inprocess_rounds={} strengthened={} \
-             removed={} compactions={}",
+             propagations={} restarts={} reused={} compactions={}",
             self.algorithm,
             self.sat_calls,
             self.cores,
@@ -154,9 +141,6 @@ impl fmt::Display for MaxSatStats {
             self.propagations,
             self.restarts,
             self.learnt_reused,
-            self.inprocess_rounds,
-            self.inprocess_strengthened,
-            self.inprocess_removed,
             self.arena_compactions
         )
     }

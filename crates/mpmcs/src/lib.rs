@@ -67,6 +67,5 @@ pub use encode::{EncodingStyle, MpmcsEncoding, WeightScale};
 pub use enumerate::EnumerationLimit;
 pub use error::MpmcsError;
 pub use report::{MpmcsReport, ReportEvent, SolverStatsReport};
-pub use sat_solver::BranchingChoice;
 pub use solver::{AlgorithmChoice, MpmcsOptions, MpmcsSolution, MpmcsSolver};
 pub use stream::{McsStream, StreamStep};

@@ -51,13 +51,6 @@ pub struct SolverStatsReport {
     pub learnt_reused: u64,
     /// Cumulative SAT calls of the owning solver session after this cut set.
     pub session_calls: u64,
-    /// Inprocessing rounds run at level-0 boundaries (subsumption and
-    /// self-subsuming resolution).
-    pub inprocess_rounds: u64,
-    /// Clauses strengthened by inprocessing.
-    pub inprocess_strengthened: u64,
-    /// Clauses removed by inprocessing.
-    pub inprocess_removed: u64,
     /// Clause-arena compactions performed by the solver.
     pub arena_compactions: u64,
 }
@@ -69,9 +62,6 @@ serde::impl_serde_struct!(SolverStatsReport {
     restarts,
     learnt_reused,
     session_calls,
-    inprocess_rounds,
-    inprocess_strengthened,
-    inprocess_removed,
     arena_compactions
 });
 
@@ -84,9 +74,6 @@ impl From<&MaxSatStats> for SolverStatsReport {
             restarts: stats.restarts,
             learnt_reused: stats.learnt_reused,
             session_calls: stats.session_calls,
-            inprocess_rounds: stats.inprocess_rounds,
-            inprocess_strengthened: stats.inprocess_strengthened,
-            inprocess_removed: stats.inprocess_removed,
             arena_compactions: stats.arena_compactions,
         }
     }

@@ -7,7 +7,7 @@ use maxsat_solver::{
     IncrementalMaxSat, LinearSuSolver, MaxSatOutcome, MaxSatResult, MaxSatStats, PortfolioSolver,
 };
 
-use sat_solver::{BranchingChoice, SolverConfig};
+use sat_solver::SolverConfig;
 
 use crate::encode::{EncodingStyle, MpmcsEncoding, WeightScale};
 use crate::error::MpmcsError;
@@ -48,10 +48,6 @@ pub struct MpmcsOptions {
     pub encoding: EncodingStyle,
     /// The probability-to-weight scaling (paper Step 3).
     pub scale: WeightScale,
-    /// The branching heuristic driving every underlying SAT solver's
-    /// decisions (VSIDS by default; see
-    /// [`BranchingChoice`](sat_solver::BranchingChoice)).
-    pub branching: BranchingChoice,
 }
 
 impl MpmcsOptions {
@@ -62,18 +58,6 @@ impl MpmcsOptions {
             algorithm: AlgorithmChoice::Oll,
             encoding: EncodingStyle::Direct,
             scale: WeightScale::default(),
-            branching: BranchingChoice::Vsids,
-        }
-    }
-
-    /// The SAT configuration of every solver these options start: the
-    /// Step 5 solver of a one-shot [`solve`](MpmcsSolver::solve) and the
-    /// [`McsStream`](crate::McsStream) session every enumeration drains, so
-    /// all of them honour the configured branching heuristic.
-    pub(crate) fn sat_config(&self) -> SolverConfig {
-        SolverConfig {
-            branching: self.branching,
-            ..SolverConfig::default()
         }
     }
 }
@@ -189,13 +173,12 @@ impl MpmcsSolver {
 
     fn run_maxsat(&self, encoding: &MpmcsEncoding) -> MaxSatResult {
         let instance = encoding.instance();
-        let config = self.options.sat_config();
         let result = match self.options.algorithm {
-            AlgorithmChoice::Portfolio => {
-                PortfolioSolver::new(self.options.branching).solve(instance)
+            AlgorithmChoice::Portfolio => PortfolioSolver::new().solve(instance),
+            AlgorithmChoice::Oll => Some(IncrementalMaxSat::new(instance).solve()),
+            AlgorithmChoice::LinearSu => {
+                LinearSuSolver::new(SolverConfig::default()).solve(instance)
             }
-            AlgorithmChoice::Oll => Some(IncrementalMaxSat::with_config(instance, config).solve()),
-            AlgorithmChoice::LinearSu => LinearSuSolver::new(config).solve(instance),
         };
         result.expect("no interrupt hook is installed")
     }

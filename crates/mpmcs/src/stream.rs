@@ -118,8 +118,8 @@ impl MpmcsSolver {
     /// Streams always run through the deterministic core-guided session; the
     /// [`algorithm`](MpmcsOptions::algorithm) option selects the solver of a
     /// single [`solve`](MpmcsSolver::solve) only and is ignored here. The
-    /// [`encoding`](MpmcsOptions::encoding), [`scale`](MpmcsOptions::scale)
-    /// and [`branching`](MpmcsOptions::branching) options are honoured.
+    /// [`encoding`](MpmcsOptions::encoding) and
+    /// [`scale`](MpmcsOptions::scale) options are honoured.
     pub fn stream(&self, tree: Arc<FaultTree>) -> McsStream {
         McsStream::open(tree, *self.options())
     }
@@ -131,7 +131,7 @@ impl McsStream {
     pub fn open(tree: Arc<FaultTree>, options: MpmcsOptions) -> McsStream {
         let setup_start = Instant::now();
         let mut encoding = MpmcsEncoding::with_style(&tree, options.encoding, options.scale);
-        let session = IncrementalMaxSat::owned(encoding.take_instance(), options.sat_config());
+        let session = IncrementalMaxSat::owned(encoding.take_instance());
         McsStream {
             tree,
             encoding,
@@ -388,28 +388,6 @@ mod tests {
         }
     }
 
-    /// The stream's session is configured from the solver options, branching
-    /// heuristic included: under random branching its first optimum carries
-    /// exactly the statistics of a one-shot solve under the same options.
-    #[test]
-    fn streams_honour_the_branching_heuristic() {
-        use ft_generators::Family;
-        use sat_solver::BranchingChoice;
-
-        let tree = Family::RandomMixed.generate(1000, 3);
-        let solver = MpmcsSolver::with_options(MpmcsOptions {
-            branching: BranchingChoice::Random,
-            ..MpmcsOptions::new()
-        });
-        let one_shot = solver.solve(&tree).expect("solvable");
-        let mut stream = solver.stream(Arc::new(tree));
-        let StreamStep::Solution(first) = stream.next_step().expect("solvable") else {
-            panic!("the stream ended before its first optimum");
-        };
-        assert_eq!(first.cut_set, one_shot.cut_set);
-        assert_eq!(first.stats, one_shot.stats);
-    }
-
     /// The builder cannot express a tree without cut sets, so this pins the
     /// other half of the contract: an exhausted stream keeps reporting
     /// `Exhausted` (the `NoCutSet` error is reserved for cut-set-free trees).
@@ -517,10 +495,7 @@ mod tests {
                     .map(|e| encoding.scaled_weights()[e.index()])
                     .sum()
             };
-            let mut session = IncrementalMaxSat::owned(
-                encoding.instance().clone(),
-                MpmcsOptions::new().sat_config(),
-            );
+            let mut session = IncrementalMaxSat::owned(encoding.instance().clone());
             let mut expected = Vec::new();
             loop {
                 let result = session.solve();

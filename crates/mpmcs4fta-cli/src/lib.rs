@@ -22,7 +22,7 @@ use ft_backend::{AnalysisCache, BackendKind, BackendSolution, Budget, DEFAULT_CA
 use ft_batch::{run_batch, BatchConfig, BatchManifest};
 use ft_generators::{random_tree, RandomTreeConfig};
 use ft_session::{Analyzer, SessionError, Termination};
-use mpmcs::{AlgorithmChoice, BranchingChoice, EnumerationLimit, MpmcsOptions, MpmcsSolver};
+use mpmcs::{AlgorithmChoice, EnumerationLimit, MpmcsOptions, MpmcsSolver};
 
 /// Errors surfaced to the command line user.
 #[derive(Debug)]
@@ -136,11 +136,10 @@ OPTIONS:
                                 solver line-up there. Every enumeration
                                 (--top-k, --all, batch rows) runs the OLL
                                 session (maxsat backend only; default: oll,
-                                which is deterministic)
-    --branching <NAME>          vsids (default) | random — the SAT decision
-                                heuristic of the MaxSAT backend's solvers
-                                (maxsat backend only; random is a baseline
-                                for heuristic experiments)
+                                which is deterministic). linear-su runs OLL
+                                on a second solver once its GTE bound passes
+                                20000 outputs, and labels the answer
+                                linear-su(fallback:oll)
     --analysis <NAME>           mpmcs (default) | path-set | importance | modules |
                                 stability | dot | ascii   (single-tree modes only)
     --top-k <N>                 Report the N most probable minimal cut sets
@@ -152,9 +151,9 @@ OPTIONS:
     --all                       Report every minimal cut set (single-tree only)
     --stats                     Include detailed solver statistics (conflicts,
                                 propagations, restarts, learnt-clause reuse
-                                across incremental calls, inprocessing rounds,
-                                clause-arena compactions) in the JSON report
-                                (mpmcs analysis and batch mode)
+                                across incremental calls, clause-arena
+                                compactions) in the JSON report (mpmcs
+                                analysis and batch mode)
     --timeout-ms <N>            Per-query wall-clock budget in milliseconds
                                 (mpmcs analysis and batch mode). A query that
                                 hits the deadline stops cleanly and reports
@@ -330,9 +329,6 @@ pub struct CliOptions {
     /// (`None` = the default, deterministic OLL); enumerations always run
     /// the OLL session.
     pub algorithm: Option<AlgorithmChoice>,
-    /// Which SAT decision heuristic the MaxSAT backend's solvers use
-    /// (default: VSIDS).
-    pub branching: BranchingChoice,
     /// Which analysis engine answers the MPMCS queries.
     pub backend: BackendKind,
     /// Run a second (reference) backend and assert identical cut sets.
@@ -411,8 +407,6 @@ where
     let mut format: Option<InputFormat> = None;
     let mut analysis = AnalysisKind::Mpmcs;
     let mut algorithm: Option<AlgorithmChoice> = None;
-    let mut branching = BranchingChoice::Vsids;
-    let mut branching_given = false;
     let mut backend = BackendKind::MaxSat;
     let mut cross_check = false;
     let mut bdd_ordering = VariableOrdering::DepthFirst;
@@ -457,7 +451,6 @@ where
                     mode: CliMode::Help,
                     analysis,
                     algorithm,
-                    branching,
                     backend,
                     cross_check,
                     bdd_ordering,
@@ -491,14 +484,6 @@ where
                     "linear-su" | "linear" => AlgorithmChoice::LinearSu,
                     other => return Err(CliError::Usage(format!("unknown algorithm {other:?}"))),
                 })
-            }
-            "--branching" => {
-                branching_given = true;
-                branching = match value("--branching")?.as_str() {
-                    "vsids" => BranchingChoice::Vsids,
-                    "random" => BranchingChoice::Random,
-                    other => return Err(CliError::Usage(format!("unknown branching {other:?}"))),
-                }
             }
             "--backend" => {
                 let name = value("--backend")?;
@@ -635,11 +620,6 @@ where
             "--algorithm only applies to the maxsat backend (and to auto when it resolves to maxsat)",
         ));
     }
-    if branching_given && matches!(backend, BackendKind::Bdd | BackendKind::Mocus) {
-        return Err(usage(
-            "--branching only applies to the maxsat backend (and to auto when it resolves to maxsat)",
-        ));
-    }
     let mode = match (batch, input) {
         (Some(_), Some(_)) => {
             return Err(usage("--batch cannot be combined with a single-tree input"))
@@ -730,7 +710,6 @@ where
         mode,
         analysis,
         algorithm,
-        branching,
         backend,
         cross_check,
         bdd_ordering,
@@ -758,7 +737,6 @@ fn serve_cli_options(mode: CliMode) -> CliOptions {
         mode,
         analysis: AnalysisKind::Mpmcs,
         algorithm: None,
-        branching: BranchingChoice::Vsids,
         backend: BackendKind::MaxSat,
         cross_check: false,
         bdd_ordering: VariableOrdering::DepthFirst,
@@ -1014,7 +992,6 @@ fn run_batch_mode(options: &CliOptions, path: &std::path::Path) -> Result<RunOut
         jobs: options.jobs,
         top_k: options.top_k.unwrap_or(1),
         algorithm: options.algorithm.unwrap_or_default(),
-        branching: options.branching,
         importance: options.importance,
         stats: options.stats,
         backend: options.backend,
@@ -1058,7 +1035,6 @@ fn analyzer_for(
     let mut analyzer = Analyzer::for_shared(Arc::clone(tree))
         .backend(kind)
         .algorithm(options.algorithm.unwrap_or_default())
-        .branching(options.branching)
         .bdd_ordering(options.bdd_ordering)
         .preprocess(options.preprocess)
         .budget(options.budget());
@@ -1387,7 +1363,6 @@ fn run_mpmcs(options: &CliOptions, tree: &FaultTree) -> Result<RunOutput, CliErr
 fn run_path_set(options: &CliOptions, tree: &FaultTree) -> Result<(String, String), CliError> {
     let solver = MpmcsSolver::with_options(MpmcsOptions {
         algorithm: options.algorithm.unwrap_or_default(),
-        branching: options.branching,
         ..MpmcsOptions::new()
     });
     let dual = fault_tree::transform::success_tree(tree);
@@ -1493,7 +1468,6 @@ fn run_stability(options: &CliOptions, tree: &FaultTree) -> Result<(String, Stri
 fn run_dot(options: &CliOptions, tree: &FaultTree) -> Result<(String, String), CliError> {
     let solver = MpmcsSolver::with_options(MpmcsOptions {
         algorithm: options.algorithm.unwrap_or_default(),
-        branching: options.branching,
         ..MpmcsOptions::new()
     });
     let solution = solver.solve(tree)?;
@@ -1681,77 +1655,10 @@ mod tests {
             parse_args(["--unknown", "x.json"]),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn parses_the_branching_flag_and_rejects_it_off_the_maxsat_backend() {
-        let options = parse_args(["--example", "fps"]).unwrap();
-        assert_eq!(options.branching, BranchingChoice::Vsids);
-        let options = parse_args(["--example", "fps", "--branching", "random"]).unwrap();
-        assert_eq!(options.branching, BranchingChoice::Random);
-        let options = parse_args(["--example", "fps", "--branching", "vsids"]).unwrap();
-        assert_eq!(options.branching, BranchingChoice::Vsids);
         assert!(matches!(
-            parse_args(["--example", "fps", "--branching", "magic"]),
+            parse_args(["--example", "fps", "--branching", "vsids"]),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            parse_args([
-                "--example",
-                "fps",
-                "--backend",
-                "bdd",
-                "--branching",
-                "random"
-            ]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args([
-                "--example",
-                "fps",
-                "--backend",
-                "mocus",
-                "--branching",
-                "vsids"
-            ]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn random_branching_reports_the_same_mpmcs() {
-        let run_with = |branching: &str| {
-            let options = parse_args([
-                "--example",
-                "fps",
-                "--branching",
-                branching,
-                "--top-k",
-                "3",
-                "--quiet",
-            ])
-            .unwrap();
-            let (json, _) = run(&options).unwrap();
-            let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-            parsed
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|r| {
-                    (
-                        r["probability"].as_f64().unwrap(),
-                        r["mpmcs"]
-                            .as_array()
-                            .unwrap()
-                            .iter()
-                            .map(|e| e["name"].as_str().unwrap().to_string())
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run_with("vsids"), run_with("random"));
     }
 
     #[test]

@@ -1,17 +1,11 @@
-//! Pluggable branching heuristics.
+//! The decision heuristic: VSIDS with phase saving.
 //!
-//! The CDCL search consults a [`BranchingStrategy`] for every decision; the
-//! strategy owns whatever bookkeeping it needs (activity tables, heaps,
-//! RNGs), and the solver feeds it the events it can learn from: new
-//! variables, variables seen during conflict analysis, the end of each
-//! conflict, and unassignments on backtracking. The default strategy is
-//! classic [VSIDS](VsidsBranching) (exactly the behaviour the solver had
-//! before the strategy was extracted — bit-for-bit, including the RNG
-//! stream for random decisions); [`RandomBranching`] is a seeded uniform
-//! picker used for portfolio diversification and as a sanity baseline in
-//! heuristic experiments. Select one with [`SolverConfig::branching`].
+//! The solver feeds [`Vsids`] the events it learns from: new variables,
+//! variables seen during conflict analysis, the end of each conflict, and
+//! unassignments on backtracking. Random decisions are mixed in at
+//! [`SolverConfig::random_var_freq`] for portfolio diversification.
 //!
-//! [`SolverConfig::branching`]: crate::SolverConfig#structfield.branching
+//! [`SolverConfig::random_var_freq`]: crate::SolverConfig#structfield.random_var_freq
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,68 +14,9 @@ use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::solver::SolverConfig;
 
-/// Which branching heuristic a [`SolverConfig`] selects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BranchingChoice {
-    /// Activity-driven VSIDS with phase saving (the MiniSat default).
-    #[default]
-    Vsids,
-    /// Seeded uniform-random decisions over the unassigned variables.
-    Random,
-}
-
-impl BranchingChoice {
-    /// Materialises the strategy for a solver built from `config`.
-    pub(crate) fn build(self, config: &SolverConfig) -> Box<dyn BranchingStrategy> {
-        match self {
-            BranchingChoice::Vsids => Box::new(VsidsBranching::new(config)),
-            BranchingChoice::Random => Box::new(RandomBranching::new(config.seed)),
-        }
-    }
-}
-
-/// A branching heuristic driven by the CDCL search.
-///
-/// The solver calls the hooks in a fixed order: [`on_new_var`] once per
-/// allocated variable, [`on_conflict_var`] for every variable seen while
-/// analysing a conflict, [`on_conflict`] once after each conflict has been
-/// analysed (decay), [`on_unassign`] for every variable unassigned by
-/// backtracking, and [`pick`] whenever a fresh decision literal is needed.
-/// `pick` must return `None` only when every variable is assigned.
-///
-/// [`on_new_var`]: BranchingStrategy::on_new_var
-/// [`on_conflict_var`]: BranchingStrategy::on_conflict_var
-/// [`on_conflict`]: BranchingStrategy::on_conflict
-/// [`on_unassign`]: BranchingStrategy::on_unassign
-/// [`pick`]: BranchingStrategy::pick
-pub trait BranchingStrategy: std::fmt::Debug + Send {
-    /// Short name of the heuristic, for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// A fresh variable was allocated.
-    fn on_new_var(&mut self, var: Var);
-
-    /// `var` was involved in a conflict (bump its priority).
-    fn on_conflict_var(&mut self, var: Var);
-
-    /// A conflict finished analysing (decay activities).
-    fn on_conflict(&mut self);
-
-    /// `var` was unassigned by backtracking and is a decision candidate
-    /// again.
-    fn on_unassign(&mut self, var: Var);
-
-    /// Picks the next decision literal: an unassigned variable together with
-    /// the polarity to try first. `phase` is the solver's saved-phase table
-    /// (`true` = the variable was last assigned true).
-    fn pick(&mut self, assigns: &[LBool], phase: &[bool]) -> Option<Lit>;
-}
-
 /// Classic VSIDS: per-variable activities bumped on conflicts, decayed
-/// geometrically, with the maximum kept in an indexed heap. Random decisions
-/// are mixed in at `random_var_freq` for portfolio diversification.
-#[derive(Debug)]
-pub struct VsidsBranching {
+/// geometrically, with the maximum kept in an indexed heap.
+pub(crate) struct Vsids {
     activity: Vec<f64>,
     var_inc: f64,
     var_decay: f64,
@@ -90,11 +25,11 @@ pub struct VsidsBranching {
     rng: StdRng,
 }
 
-impl VsidsBranching {
+impl Vsids {
     /// Builds the heuristic from the solver configuration (decay, random
     /// decision frequency, RNG seed).
-    pub fn new(config: &SolverConfig) -> Self {
-        VsidsBranching {
+    pub(crate) fn new(config: &SolverConfig) -> Self {
+        Vsids {
             activity: Vec::new(),
             var_inc: 1.0,
             var_decay: config.var_decay,
@@ -103,20 +38,16 @@ impl VsidsBranching {
             rng: StdRng::seed_from_u64(config.seed),
         }
     }
-}
 
-impl BranchingStrategy for VsidsBranching {
-    fn name(&self) -> &'static str {
-        "vsids"
-    }
-
-    fn on_new_var(&mut self, var: Var) {
+    /// A fresh variable was allocated.
+    pub(crate) fn on_new_var(&mut self, var: Var) {
         debug_assert_eq!(var.index(), self.activity.len());
         self.activity.push(0.0);
         self.order.insert(var, &self.activity);
     }
 
-    fn on_conflict_var(&mut self, var: Var) {
+    /// `var` was involved in a conflict: bump its activity.
+    pub(crate) fn on_conflict_var(&mut self, var: Var) {
         let idx = var.index();
         self.activity[idx] += self.var_inc;
         if self.activity[idx] > 1e100 {
@@ -128,17 +59,25 @@ impl BranchingStrategy for VsidsBranching {
         self.order.update(var, &self.activity);
     }
 
-    fn on_conflict(&mut self) {
+    /// A conflict finished analysing: decay every activity (by growing the
+    /// bump increment).
+    pub(crate) fn on_conflict(&mut self) {
         self.var_inc /= self.var_decay;
     }
 
-    fn on_unassign(&mut self, var: Var) {
+    /// `var` was unassigned by backtracking and is a decision candidate
+    /// again.
+    pub(crate) fn on_unassign(&mut self, var: Var) {
         if !self.order.contains(var) {
             self.order.insert(var, &self.activity);
         }
     }
 
-    fn pick(&mut self, assigns: &[LBool], phase: &[bool]) -> Option<Lit> {
+    /// Picks the next decision literal: an unassigned variable together with
+    /// the polarity to try first, from the saved-phase table `phase`
+    /// (`true` = the variable was last assigned true). `None` once every
+    /// variable is assigned.
+    pub(crate) fn pick(&mut self, assigns: &[LBool], phase: &[bool]) -> Option<Lit> {
         // Optional random decisions for portfolio diversification.
         if self.random_var_freq > 0.0
             && self.rng.gen::<f64>() < self.random_var_freq
@@ -158,61 +97,6 @@ impl BranchingStrategy for VsidsBranching {
     }
 }
 
-/// Seeded uniform-random branching: every decision picks an unassigned
-/// variable uniformly at random (saved phases still choose the polarity).
-/// Deterministic for a fixed seed; mostly useful as a diversification entry
-/// and as the "no heuristic" baseline in branching experiments.
-#[derive(Debug)]
-pub struct RandomBranching {
-    rng: StdRng,
-}
-
-/// How many random probes [`RandomBranching::pick`] attempts before falling
-/// back to a linear scan from a random start (keeps the expected cost O(1)
-/// while densely assigned, and the worst case O(n)).
-const RANDOM_PROBES: usize = 32;
-
-impl RandomBranching {
-    /// Builds the heuristic with the given RNG seed.
-    pub fn new(seed: u64) -> Self {
-        RandomBranching {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl BranchingStrategy for RandomBranching {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn on_new_var(&mut self, _var: Var) {}
-    fn on_conflict_var(&mut self, _var: Var) {}
-    fn on_conflict(&mut self) {}
-    fn on_unassign(&mut self, _var: Var) {}
-
-    fn pick(&mut self, assigns: &[LBool], phase: &[bool]) -> Option<Lit> {
-        let n = assigns.len();
-        if n == 0 {
-            return None;
-        }
-        for _ in 0..RANDOM_PROBES {
-            let idx = self.rng.gen_range(0..n);
-            if assigns[idx].is_undef() {
-                return Some(Lit::new(Var::from_index(idx), !phase[idx]));
-            }
-        }
-        let start = self.rng.gen_range(0..n);
-        for offset in 0..n {
-            let idx = (start + offset) % n;
-            if assigns[idx].is_undef() {
-                return Some(Lit::new(Var::from_index(idx), !phase[idx]));
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +104,7 @@ mod tests {
     #[test]
     fn vsids_pops_the_most_active_unassigned_variable() {
         let config = SolverConfig::default();
-        let mut vsids = VsidsBranching::new(&config);
+        let mut vsids = Vsids::new(&config);
         for i in 0..4 {
             vsids.on_new_var(Var::from_index(i));
         }
@@ -237,7 +121,7 @@ mod tests {
     #[test]
     fn vsids_skips_assigned_variables_and_reinserts_on_unassign() {
         let config = SolverConfig::default();
-        let mut vsids = VsidsBranching::new(&config);
+        let mut vsids = Vsids::new(&config);
         for i in 0..3 {
             vsids.on_new_var(Var::from_index(i));
         }
@@ -252,40 +136,5 @@ mod tests {
         vsids.on_unassign(Var::from_index(0));
         let lit = vsids.pick(&assigns, &phase).expect("candidates exist");
         assert_eq!(lit.var(), Var::from_index(0));
-    }
-
-    #[test]
-    fn random_branching_is_deterministic_per_seed_and_total() {
-        let assigns = vec![LBool::Undef; 8];
-        let phase = vec![true; 8];
-        let picks_a: Vec<Lit> = {
-            let mut random = RandomBranching::new(9);
-            (0..5)
-                .filter_map(|_| random.pick(&assigns, &phase))
-                .collect()
-        };
-        let picks_b: Vec<Lit> = {
-            let mut random = RandomBranching::new(9);
-            (0..5)
-                .filter_map(|_| random.pick(&assigns, &phase))
-                .collect()
-        };
-        assert_eq!(picks_a, picks_b, "same seed, same decisions");
-        assert!(
-            picks_a.iter().all(|l| l.is_positive()),
-            "saved phase true means the positive polarity is tried first"
-        );
-
-        // With exactly one unassigned variable left, the linear fallback must
-        // still find it.
-        let mut assigns = vec![LBool::False; 64];
-        assigns[63] = LBool::Undef;
-        let mut random = RandomBranching::new(1);
-        let lit = random.pick(&assigns, &[false; 64]).expect("one left");
-        assert_eq!(lit.var(), Var::from_index(63));
-
-        // Fully assigned: no candidate.
-        let assigns = vec![LBool::True; 4];
-        assert!(random.pick(&assigns, &[false; 4]).is_none());
     }
 }

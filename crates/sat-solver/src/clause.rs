@@ -87,8 +87,7 @@ pub(crate) struct ClauseDb {
     refs: Vec<u32>,
     /// Number of non-deleted learnt clauses.
     pub(crate) num_learnt: usize,
-    /// Arena words occupied by deleted or shrunk clauses; triggers
-    /// compaction.
+    /// Arena words occupied by deleted clauses; triggers compaction.
     pub(crate) wasted: usize,
 }
 
@@ -203,17 +202,6 @@ impl ClauseDb {
         }
     }
 
-    /// Promotes a learnt clause to irredundant (inprocessing does this when
-    /// a learnt clause subsumes an original one, so learnt-DB reduction can
-    /// no longer discard it). No-op for originals and deleted clauses.
-    pub(crate) fn promote(&mut self, cref: ClauseRef) {
-        if self.is_learnt(cref) && !self.is_deleted(cref) {
-            let word = &mut self.arena[cref.offset() + 1];
-            *word = Lit(word.0 & !LEARNT_BIT);
-            self.num_learnt -= 1;
-        }
-    }
-
     /// Marks the clause deleted (lazy: watchers and the arena block are
     /// reclaimed later). Idempotent.
     pub(crate) fn delete(&mut self, cref: ClauseRef) {
@@ -228,25 +216,10 @@ impl ClauseDb {
         self.wasted += HEADER as usize + self.len_of(cref);
     }
 
-    /// Overwrites the clause's literals with a shorter set (inprocessing
-    /// strengthening). The freed tail words stay in place until compaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_lits` is longer than the current clause.
-    pub(crate) fn shrink(&mut self, cref: ClauseRef, new_lits: &[Lit]) {
-        let old_len = self.len_of(cref);
-        assert!(new_lits.len() <= old_len, "shrink cannot grow a clause");
-        let base = cref.offset() + HEADER as usize;
-        self.arena[base..base + new_lits.len()].copy_from_slice(new_lits);
-        self.arena[cref.offset()] = Lit(new_lits.len() as u32);
-        self.wasted += old_len - new_lits.len();
-    }
-
-    /// Rewrites the arena in place, dropping deleted clauses and closing the
-    /// gaps left by shrunk ones. Returns `(old_offset, new_offset)` pairs for
-    /// every surviving clause, sorted by old offset, so the solver can rewrite
-    /// watch lists and reason references (see [`remap`]).
+    /// Rewrites the arena in place, dropping deleted clauses. Returns
+    /// `(old_offset, new_offset)` pairs for every surviving clause, sorted by
+    /// old offset, so the solver can rewrite watch lists and reason
+    /// references (see [`remap`]).
     pub(crate) fn compact(&mut self) -> Vec<(u32, u32)> {
         let mut remap = Vec::with_capacity(self.refs.len());
         let mut new_arena: Vec<Lit> = Vec::with_capacity(self.arena.len() - self.wasted);
@@ -335,16 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_rewrites_literals_and_counts_waste() {
-        let mut db = ClauseDb::default();
-        let c = db.add(&[lit(0), lit(1), lit(2), lit(3)], false);
-        db.shrink(c, &[lit(3), lit(1)]);
-        assert_eq!(db.len_of(c), 2);
-        assert_eq!(db.lits(c), &[lit(3), lit(1)]);
-        assert_eq!(db.wasted, 2);
-    }
-
-    #[test]
     fn compaction_drops_deleted_clauses_and_remaps_survivors() {
         let mut db = ClauseDb::default();
         let c0 = db.add(&[lit(0), lit(1)], false);
@@ -363,20 +326,5 @@ mod tests {
         assert!(db.is_learnt(n1));
         assert_eq!(db.activity(n1), 2.25);
         assert_eq!(n1.offset(), 0, "survivors are packed from the start");
-    }
-
-    #[test]
-    fn compaction_reclaims_shrink_waste() {
-        let mut db = ClauseDb::default();
-        let c0 = db.add(&[lit(0), lit(1), lit(2), lit(3)], false);
-        let c1 = db.add(&[lit(4), lit(5)], false);
-        db.shrink(c0, &[lit(0), lit(3)]);
-        let before = db.arena_len();
-        let table = db.compact();
-        assert!(db.arena_len() < before);
-        let n0 = remap(&table, c0).expect("survivor");
-        let n1 = remap(&table, c1).expect("survivor");
-        assert_eq!(db.lits(n0), &[lit(0), lit(3)]);
-        assert_eq!(db.lits(n1), &[lit(4), lit(5)]);
     }
 }

@@ -10,14 +10,15 @@
 //!   its polynomial-size, equisatisfiable CNF conversion (paper Step 2).
 //! * [`Solver`] — an incremental CDCL solver with a flat clause arena
 //!   (offset-based [`ClauseRef`]s, in-place compaction), two-literal
-//!   watches, first-UIP clause learning, pluggable branching
-//!   ([`BranchingStrategy`]; VSIDS with phase saving by default), Luby
-//!   restarts, learnt-clause database reduction, bounded inprocessing
-//!   between calls (subsumption and self-subsuming resolution), and
-//!   **solving under assumptions** with final-core extraction (needed by the
-//!   core-guided MaxSAT algorithms). One solver serves a whole sequence of
-//!   calls: fresh variables and clauses may be added between them, and
-//!   learnt clauses, activities and phases carry over. An installed
+//!   watches, first-UIP clause learning, VSIDS branching with phase saving,
+//!   Luby restarts, learnt-clause database reduction, and **solving under
+//!   assumptions** with final-core extraction (needed by the core-guided
+//!   MaxSAT algorithms). One solver serves a whole sequence of calls: fresh
+//!   variables and clauses may be added between them, and learnt clauses,
+//!   activities and phases carry over; nothing rewrites clauses between
+//!   calls. The [`SolverConfig`] fields (decay, random-decision frequency,
+//!   restart interval, default phase, seed) are what the MaxSAT portfolio
+//!   varies between its entries. An installed
 //!   [`InterruptHook`] is polled at every restart and every 512 conflicts,
 //!   so a caller can stop a call mid-search. The MaxSAT layer and the
 //!   cut-set enumeration loop are built on it.
@@ -48,18 +49,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod branching;
+mod branching;
 mod clause;
 mod cnf;
 mod expr;
 mod heap;
-mod inprocess;
 mod lit;
 mod solver;
 mod stats;
 pub mod tseitin;
 
-pub use branching::{BranchingChoice, BranchingStrategy, RandomBranching, VsidsBranching};
 pub use clause::{Clause, ClauseRef};
 pub use cnf::CnfFormula;
 pub use expr::BoolExpr;

@@ -2,19 +2,19 @@
 //!
 //! The implementation follows the classic MiniSat architecture: two-literal
 //! watches with blockers, first-UIP conflict analysis with basic clause
-//! minimisation, pluggable branching (VSIDS with phase saving by default,
-//! see [`BranchingStrategy`]), Luby restarts, and activity/LBD-guided
+//! minimisation, VSIDS branching with phase saving (held by value, see
+//! [`crate::branching`]), Luby restarts, and activity/LBD-guided
 //! learnt-clause database reduction. Clauses live in a flat arena
 //! ([`crate::clause`]) addressed by offset, compacted in place when enough
 //! of it is dead. Assumptions are supported and a final conflict (unsat
 //! core over the assumptions) is produced when solving under assumptions
-//! fails, which the core-guided MaxSAT algorithms rely on. Between solve
-//! calls the solver runs bounded inprocessing (subsumption and
-//! self-subsuming resolution — see [`crate::inprocess`]).
+//! fails, which the core-guided MaxSAT algorithms rely on. Nothing rewrites
+//! clauses between solve calls: learnt-clause reduction deletes learnt
+//! clauses, and every other clause stays as it was added.
 
 use std::sync::Arc;
 
-use crate::branching::{BranchingChoice, BranchingStrategy};
+use crate::branching::Vsids;
 use crate::clause::{self, ClauseDb, ClauseRef};
 use crate::cnf::CnfFormula;
 use crate::lit::{LBool, Lit, Var};
@@ -43,7 +43,7 @@ const LEARNTSIZE_INC: f64 = 1.1;
 pub struct SolverConfig {
     /// Multiplicative decay applied to variable activities (0 < decay < 1).
     pub var_decay: f64,
-    /// Frequency of random branching decisions in `[0, 1)` (VSIDS only).
+    /// Frequency of random branching decisions in `[0, 1)`.
     pub random_var_freq: f64,
     /// Initial number of conflicts between restarts.
     pub restart_first: u64,
@@ -51,9 +51,6 @@ pub struct SolverConfig {
     pub default_phase: bool,
     /// Seed for the solver-internal RNG (random decisions, tie breaking).
     pub seed: u64,
-    /// Which branching heuristic drives decisions (see
-    /// [`BranchingChoice`]).
-    pub branching: BranchingChoice,
 }
 
 impl Default for SolverConfig {
@@ -64,7 +61,6 @@ impl Default for SolverConfig {
             restart_first: 100,
             default_phase: false,
             seed: 42,
-            branching: BranchingChoice::Vsids,
         }
     }
 }
@@ -136,30 +132,30 @@ impl SolveResult {
 }
 
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Watcher {
-    pub(crate) cref: ClauseRef,
-    pub(crate) blocker: Lit,
+struct Watcher {
+    cref: ClauseRef,
+    blocker: Lit,
 }
 
 /// A CDCL SAT solver.
 ///
 /// See the [crate-level documentation](crate) for an example.
 pub struct Solver {
-    pub(crate) config: SolverConfig,
-    pub(crate) db: ClauseDb,
-    pub(crate) watches: Vec<Vec<Watcher>>,
-    pub(crate) assigns: Vec<LBool>,
-    pub(crate) phase: Vec<bool>,
-    pub(crate) reason: Vec<Option<ClauseRef>>,
-    pub(crate) level: Vec<u32>,
-    pub(crate) trail: Vec<Lit>,
+    config: SolverConfig,
+    db: ClauseDb,
+    watches: Vec<Vec<Watcher>>,
+    assigns: Vec<LBool>,
+    phase: Vec<bool>,
+    reason: Vec<Option<ClauseRef>>,
+    level: Vec<u32>,
+    trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
     cla_inc: f64,
-    branching: Box<dyn BranchingStrategy>,
+    vsids: Vsids,
     seen: Vec<bool>,
-    pub(crate) ok: bool,
-    pub(crate) stats: SolverStats,
+    ok: bool,
+    stats: SolverStats,
     max_learnt: f64,
     num_original_clauses: usize,
     unsat_core: Vec<Lit>,
@@ -167,8 +163,6 @@ pub struct Solver {
     clause_buf: Vec<Lit>,
     last_model: Option<Model>,
     interrupt: Option<InterruptHook>,
-    /// Conflict count at the end of the last inprocessing round.
-    pub(crate) last_inprocess_conflicts: u64,
 }
 
 /// Private outcome of one bounded `search` episode.
@@ -192,7 +186,6 @@ impl std::fmt::Debug for Solver {
         f.debug_struct("Solver")
             .field("num_vars", &self.num_vars())
             .field("num_clauses", &self.db.len())
-            .field("branching", &self.branching.name())
             .field("ok", &self.ok)
             .field("stats", &self.stats)
             .finish()
@@ -207,7 +200,7 @@ impl Solver {
 
     /// Creates a solver with an explicit configuration.
     pub fn with_config(config: SolverConfig) -> Self {
-        let branching = config.branching.build(&config);
+        let vsids = Vsids::new(&config);
         Solver {
             config,
             db: ClauseDb::default(),
@@ -220,7 +213,7 @@ impl Solver {
             trail_lim: Vec::new(),
             qhead: 0,
             cla_inc: 1.0,
-            branching,
+            vsids,
             seen: Vec::new(),
             ok: true,
             stats: SolverStats::default(),
@@ -230,7 +223,6 @@ impl Solver {
             clause_buf: Vec::new(),
             last_model: None,
             interrupt: None,
-            last_inprocess_conflicts: 0,
         }
     }
 
@@ -283,11 +275,6 @@ impl Solver {
         &self.stats
     }
 
-    /// The name of the branching heuristic in effect.
-    pub fn branching_name(&self) -> &'static str {
-        self.branching.name()
-    }
-
     /// `false` once the clause database has been proven unsatisfiable at the
     /// top level (no assumptions involved).
     pub fn is_ok(&self) -> bool {
@@ -304,7 +291,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.branching.on_new_var(v);
+        self.vsids.on_new_var(v);
         v
     }
 
@@ -391,21 +378,11 @@ impl Solver {
         }
     }
 
-    pub(crate) fn attach_clause(&mut self, cref: ClauseRef) {
+    fn attach_clause(&mut self, cref: ClauseRef) {
         let l0 = self.db.lit_at(cref, 0);
         let l1 = self.db.lit_at(cref, 1);
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
-    }
-
-    /// Removes the clause's two watcher entries (it must currently be
-    /// attached and live). Used by inprocessing before rewriting a clause's
-    /// literals in place.
-    pub(crate) fn detach_clause(&mut self, cref: ClauseRef) {
-        let l0 = self.db.lit_at(cref, 0);
-        let l1 = self.db.lit_at(cref, 1);
-        self.watches[(!l0).code()].retain(|w| w.cref != cref);
-        self.watches[(!l1).code()].retain(|w| w.cref != cref);
     }
 
     #[inline(always)]
@@ -414,7 +391,7 @@ impl Solver {
     }
 
     #[inline(always)]
-    pub(crate) fn lit_value(&self, lit: Lit) -> LBool {
+    fn lit_value(&self, lit: Lit) -> LBool {
         let v = self.assigns[lit.var().index()];
         if lit.is_negative() {
             v.negate()
@@ -424,7 +401,7 @@ impl Solver {
     }
 
     #[inline(always)]
-    pub(crate) fn decision_level(&self) -> u32 {
+    fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
@@ -432,7 +409,7 @@ impl Solver {
         self.trail_lim.push(self.trail.len());
     }
 
-    pub(crate) fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
+    fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
         debug_assert!(self.lit_value(lit).is_undef());
         let v = lit.var().index();
         self.assigns[v] = LBool::from_bool(lit.is_positive());
@@ -452,7 +429,7 @@ impl Solver {
             self.phase[v.index()] = self.var_value(v) == LBool::True;
             self.assigns[v.index()] = LBool::Undef;
             self.reason[v.index()] = None;
-            self.branching.on_unassign(v);
+            self.vsids.on_unassign(v);
         }
         self.trail_lim.truncate(level as usize);
         self.qhead = self.trail.len();
@@ -480,7 +457,7 @@ impl Solver {
     /// The watcher scan is allocation-free: each watch list is taken out,
     /// compacted in place (the blocker fast path just slides the entry
     /// down), and put back.
-    pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
+    fn propagate(&mut self) -> Option<ClauseRef> {
         let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -572,7 +549,7 @@ impl Solver {
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
-                    self.branching.on_conflict_var(v);
+                    self.vsids.on_conflict_var(v);
                     if self.level[v.index()] >= self.decision_level() {
                         path_count += 1;
                     } else {
@@ -712,7 +689,7 @@ impl Solver {
     }
 
     /// Compacts the clause arena when at least a quarter of it is dead.
-    pub(crate) fn maybe_compact(&mut self) {
+    fn maybe_compact(&mut self) {
         if self.db.arena_len() >= 2048 && self.db.wasted * 4 >= self.db.arena_len() {
             self.compact_clauses();
         }
@@ -721,8 +698,8 @@ impl Solver {
     /// Rewrites the clause arena in place, dropping deleted clauses, then
     /// remaps every watcher and reason reference to the new offsets. Safe at
     /// any decision level; normally triggered automatically by learnt-DB
-    /// reduction and inprocessing, exposed for tests and embedders that want
-    /// to bound memory eagerly.
+    /// reduction, exposed for tests and embedders that want to bound memory
+    /// eagerly.
     pub fn compact_clauses(&mut self) {
         let table = self.db.compact();
         for list in &mut self.watches {
@@ -742,7 +719,7 @@ impl Solver {
         self.stats.arena_compactions += 1;
     }
 
-    pub(crate) fn is_locked(&self, cref: ClauseRef) -> bool {
+    fn is_locked(&self, cref: ClauseRef) -> bool {
         let first = self.db.lit_at(cref, 0);
         self.lit_value(first) == LBool::True && self.reason[first.var().index()] == Some(cref)
     }
@@ -793,7 +770,7 @@ impl Solver {
                     self.clause_bump_activity(cref);
                     self.unchecked_enqueue(asserting, Some(cref));
                 }
-                self.branching.on_conflict();
+                self.vsids.on_conflict();
                 self.clause_decay_activity();
                 self.stats.learnt_clauses = self.db.num_learnt as u64;
             } else {
@@ -828,7 +805,7 @@ impl Solver {
                     Some(lit) => lit,
                     None => {
                         self.stats.decisions += 1;
-                        match self.branching.pick(&self.assigns, &self.phase) {
+                        match self.vsids.pick(&self.assigns, &self.phase) {
                             Some(lit) => lit,
                             None => return SearchOutcome::Decided(true),
                         }
@@ -885,11 +862,6 @@ impl Solver {
         for lit in assumptions {
             self.ensure_vars(lit.var().index() + 1);
         }
-        // A level-0 boundary: run scheduled inprocessing before the search.
-        self.maybe_inprocess();
-        if !self.ok {
-            return SolveResult::Unsat;
-        }
         if self.max_learnt <= 0.0 {
             self.max_learnt = (self.num_original_clauses as f64 * LEARNTSIZE_FACTOR).max(1000.0);
         }
@@ -940,8 +912,8 @@ impl Solver {
     }
 
     /// Checks the internal watch/reason/arena invariants, panicking on any
-    /// violation. Used by the compaction and inprocessing regression tests;
-    /// O(total literals), so never called on the hot path.
+    /// violation. Used by the compaction regression tests; O(total
+    /// literals), so never called on the hot path.
     #[doc(hidden)]
     pub fn assert_integrity(&self) {
         for cref in self.db.refs() {
@@ -1137,15 +1109,20 @@ mod tests {
         }
     }
 
+    /// Checks every SAT/UNSAT answer against exhaustive evaluation of all
+    /// assignments, on random 3-SAT near the satisfiability threshold (clause
+    /// ratio 4.26), where both answers occur.
     #[test]
-    fn random_branching_agrees_with_vsids_on_random_3sat() {
+    fn vsids_agrees_with_exhaustive_evaluation_on_random_3sat() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
+        let num_vars = 14;
+        let num_clauses = 60;
+        let (mut sat, mut unsat) = (0, 0);
         for instance in 0..20 {
-            let num_vars = 25;
             let mut cnf = CnfFormula::with_vars(num_vars);
-            for _ in 0..95 {
+            for _ in 0..num_clauses {
                 let mut clause = Vec::new();
                 for _ in 0..3 {
                     let v = Var::from_index(rng.gen_range(0..num_vars));
@@ -1153,20 +1130,40 @@ mod tests {
                 }
                 cnf.add_clause(clause);
             }
-            let mut vsids = Solver::from_cnf(&cnf);
-            let mut random = Solver::with_config(SolverConfig {
-                branching: BranchingChoice::Random,
-                ..SolverConfig::default()
+            let mut assignment = vec![false; num_vars];
+            let satisfiable = (0u32..1 << num_vars).any(|bits| {
+                for (i, value) in assignment.iter_mut().enumerate() {
+                    *value = bits >> i & 1 == 1;
+                }
+                cnf.evaluate(&assignment) == Some(true)
             });
-            random.add_cnf(&cnf);
-            assert_eq!(random.branching_name(), "random");
-            let a = vsids.solve().is_sat();
-            let b = random.solve().is_sat();
-            assert_eq!(a, b, "instance {instance}: heuristics must agree");
-            if let Some(model) = random.last_model() {
-                assert_eq!(cnf.evaluate(model.as_slice()), Some(true));
+            match Solver::from_cnf(&cnf).solve() {
+                SolveResult::Sat(model) => {
+                    assert!(
+                        satisfiable,
+                        "instance {instance}: SAT on an unsatisfiable CNF"
+                    );
+                    assert_eq!(
+                        cnf.evaluate(model.as_slice()),
+                        Some(true),
+                        "model must satisfy instance {instance}"
+                    );
+                    sat += 1;
+                }
+                SolveResult::Unsat => {
+                    assert!(
+                        !satisfiable,
+                        "instance {instance}: UNSAT on a satisfiable CNF"
+                    );
+                    unsat += 1;
+                }
+                SolveResult::Interrupted => panic!("no interrupt installed"),
             }
         }
+        assert!(
+            sat > 0 && unsat > 0,
+            "both answers occur: {sat} SAT, {unsat} UNSAT"
+        );
     }
 
     #[test]
@@ -1272,12 +1269,11 @@ mod tests {
     }
 
     /// Regression test for the arena refactor: interleaves solve calls,
-    /// clause additions, forced inprocessing rounds and arena compactions,
-    /// asserting after every step that watch lists and reason references
-    /// still point at live clauses and that the per-call counter deltas stay
-    /// monotone.
+    /// clause additions and arena compactions, asserting after every step
+    /// that watch lists and reason references still point at live clauses
+    /// and that the per-call counter deltas stay monotone.
     #[test]
-    fn arena_compaction_and_inprocessing_survive_an_incremental_session() {
+    fn arena_compaction_survives_an_incremental_session() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
@@ -1313,10 +1309,7 @@ mod tests {
                 SolveResult::Unsat => {}
                 SolveResult::Interrupted => panic!("no interrupt installed"),
             }
-            // Periodically force the maintenance paths the refactor touched.
-            if round % 7 == 3 {
-                s.inprocess_now();
-            }
+            // Periodically force the compaction the refactor introduced.
             if round % 11 == 5 {
                 s.compact_clauses();
             }
@@ -1329,17 +1322,12 @@ mod tests {
             assert_eq!(cumulative.solve_calls, s.stats().solve_calls);
             assert_eq!(cumulative.conflicts, s.stats().conflicts);
             assert_eq!(cumulative.propagations, s.stats().propagations);
-            assert_eq!(cumulative.inprocess_rounds, s.stats().inprocess_rounds);
             assert_eq!(cumulative.arena_compactions, s.stats().arena_compactions);
         }
         assert!(models > 0, "the solver must see satisfiable rounds");
         assert!(
             s.stats().arena_compactions > 0,
             "forced compactions must be counted"
-        );
-        assert!(
-            s.stats().inprocess_rounds > 0,
-            "forced inprocessing rounds must be counted"
         );
     }
 

@@ -26,13 +26,6 @@ pub struct SolverStats {
     /// the warm-started solve calls — the clauses an incremental session
     /// carries over instead of re-deriving.
     pub learnt_reused: u64,
-    /// Number of inprocessing rounds run at level-0 boundaries.
-    pub inprocess_rounds: u64,
-    /// Clauses strengthened by inprocessing (level-0 literal removal and
-    /// self-subsuming resolution; counts removed literals).
-    pub inprocess_strengthened: u64,
-    /// Clauses removed by inprocessing (satisfied at level 0 or subsumed).
-    pub inprocess_removed: u64,
     /// Number of clause-arena compactions (each rewrites the watch lists and
     /// reason references in place).
     pub arena_compactions: u64,
@@ -55,9 +48,6 @@ impl SolverStats {
             solve_calls: self.solve_calls + other.solve_calls,
             incremental_calls: self.incremental_calls + other.incremental_calls,
             learnt_reused: self.learnt_reused + other.learnt_reused,
-            inprocess_rounds: self.inprocess_rounds + other.inprocess_rounds,
-            inprocess_strengthened: self.inprocess_strengthened + other.inprocess_strengthened,
-            inprocess_removed: self.inprocess_removed + other.inprocess_removed,
             arena_compactions: self.arena_compactions + other.arena_compactions,
         }
     }
@@ -76,9 +66,6 @@ impl SolverStats {
             solve_calls: self.solve_calls - earlier.solve_calls,
             incremental_calls: self.incremental_calls - earlier.incremental_calls,
             learnt_reused: self.learnt_reused - earlier.learnt_reused,
-            inprocess_rounds: self.inprocess_rounds - earlier.inprocess_rounds,
-            inprocess_strengthened: self.inprocess_strengthened - earlier.inprocess_strengthened,
-            inprocess_removed: self.inprocess_removed - earlier.inprocess_removed,
             arena_compactions: self.arena_compactions - earlier.arena_compactions,
         }
     }
@@ -89,8 +76,7 @@ impl fmt::Display for SolverStats {
         write!(
             f,
             "decisions={} propagations={} conflicts={} restarts={} learnt={} deleted={} \
-             solves={} incremental={} reused={} inprocess_rounds={} strengthened={} \
-             removed={} compactions={}",
+             solves={} incremental={} reused={} compactions={}",
             self.decisions,
             self.propagations,
             self.conflicts,
@@ -100,9 +86,6 @@ impl fmt::Display for SolverStats {
             self.solve_calls,
             self.incremental_calls,
             self.learnt_reused,
-            self.inprocess_rounds,
-            self.inprocess_strengthened,
-            self.inprocess_removed,
             self.arena_compactions
         )
     }
@@ -121,7 +104,6 @@ mod tests {
         assert!(text.contains("decisions=0"));
         assert!(text.contains("solves=0"));
         assert!(text.contains("reused=0"));
-        assert!(text.contains("inprocess_rounds=0"));
         assert!(text.contains("compactions=0"));
     }
 
@@ -131,7 +113,6 @@ mod tests {
             conflicts: 7,
             solve_calls: 3,
             learnt_clauses: 500,
-            inprocess_rounds: 2,
             arena_compactions: 1,
             ..SolverStats::default()
         };
@@ -139,14 +120,12 @@ mod tests {
             conflicts: 2,
             solve_calls: 1,
             learnt_clauses: 200,
-            inprocess_rounds: 1,
             arena_compactions: 3,
             ..SolverStats::default()
         };
         let merged = retired.merged(&live);
         assert_eq!(merged.conflicts, 9);
         assert_eq!(merged.solve_calls, 4);
-        assert_eq!(merged.inprocess_rounds, 3);
         assert_eq!(merged.arena_compactions, 4);
         assert_eq!(
             merged.learnt_clauses, 200,
@@ -166,9 +145,6 @@ mod tests {
             solve_calls: 2,
             incremental_calls: 1,
             learnt_reused: 4,
-            inprocess_rounds: 1,
-            inprocess_strengthened: 3,
-            inprocess_removed: 2,
             arena_compactions: 1,
         };
         let later = SolverStats {
@@ -181,9 +157,6 @@ mod tests {
             solve_calls: 3,
             incremental_calls: 2,
             learnt_reused: 10,
-            inprocess_rounds: 2,
-            inprocess_strengthened: 8,
-            inprocess_removed: 2,
             arena_compactions: 2,
         };
         let delta = later.delta_since(&earlier);
@@ -196,9 +169,6 @@ mod tests {
         assert_eq!(delta.solve_calls, 1);
         assert_eq!(delta.incremental_calls, 1);
         assert_eq!(delta.learnt_reused, 6);
-        assert_eq!(delta.inprocess_rounds, 1);
-        assert_eq!(delta.inprocess_strengthened, 5);
-        assert_eq!(delta.inprocess_removed, 0);
         assert_eq!(delta.arena_compactions, 1);
     }
 }
