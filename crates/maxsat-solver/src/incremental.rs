@@ -222,8 +222,9 @@ impl<'a> IncrementalMaxSat<'a> {
     }
 
     /// Adds a hard clause between optima (e.g. a blocking clause excluding
-    /// the previous solution and its supersets). The session is at decision
-    /// level 0 between calls, so the addition takes effect immediately.
+    /// the previous solution and its supersets). It takes effect at once:
+    /// the solver accepts clauses while it keeps the last call's assumption
+    /// levels, and backtracks as far as the clause needs.
     pub fn add_hard<I>(&mut self, lits: I)
     where
         I: IntoIterator<Item = Lit>,
@@ -535,6 +536,7 @@ mod tests {
                     .map(|i| Lit::new(Var::from_index(i), model[i]))
                     .collect();
                 session.add_hard(block.clone());
+                session.solver.assert_integrity();
                 grown.add_hard(block);
             }
         }
@@ -670,6 +672,7 @@ mod tests {
             let mut session = IncrementalMaxSat::new(&inst);
             for _ in 0..4 {
                 let result = session.solve();
+                session.solver.assert_integrity();
                 assert_eq!(
                     result.outcome.cost(),
                     brute_force_optimum(&grown),

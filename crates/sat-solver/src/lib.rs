@@ -15,7 +15,9 @@
 //!   assumptions** with final-core extraction (needed by the core-guided
 //!   MaxSAT algorithms). One solver serves a whole sequence of calls: fresh
 //!   variables and clauses may be added between them, and learnt clauses,
-//!   activities and phases carry over; nothing rewrites clauses between
+//!   activities and phases carry over, and so do the trail's assumption
+//!   levels, so a call re-propagates only from the first assumption that
+//!   differs from the last call's; nothing rewrites clauses between
 //!   calls. The [`SolverConfig`] fields (decay, random-decision frequency,
 //!   restart interval, default phase, seed) are what the MaxSAT portfolio
 //!   varies between its entries. An installed

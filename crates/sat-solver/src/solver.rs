@@ -8,9 +8,13 @@
 //! ([`crate::clause`]) addressed by offset, compacted in place when enough
 //! of it is dead. Assumptions are supported and a final conflict (unsat
 //! core over the assumptions) is produced when solving under assumptions
-//! fails, which the core-guided MaxSAT algorithms rely on. Nothing rewrites
-//! clauses between solve calls: learnt-clause reduction deletes learnt
-//! clauses, and every other clause stays as it was added.
+//! fails, which the core-guided MaxSAT algorithms rely on. Between calls the
+//! solver keeps the assumption levels of its trail, and the next call
+//! backtracks only to the longest prefix its assumptions share with the last
+//! call's, so a core-guided search re-propagates only what its last core
+//! changed. Nothing rewrites clauses between solve calls: learnt-clause
+//! reduction deletes learnt clauses, and every other clause stays as it was
+//! added.
 
 use std::sync::Arc;
 
@@ -159,9 +163,12 @@ pub struct Solver {
     max_learnt: f64,
     num_original_clauses: usize,
     unsat_core: Vec<Lit>,
+    /// The assumptions of the last solve call. Between calls, decision level
+    /// `i` holds `assumed[i - 1]`: as its decision, or as nothing when that
+    /// assumption was already true.
+    assumed: Vec<Lit>,
     /// The buffer [`Solver::add_clause`] collects and simplifies clauses in.
     clause_buf: Vec<Lit>,
-    last_model: Option<Model>,
     interrupt: Option<InterruptHook>,
 }
 
@@ -220,8 +227,8 @@ impl Solver {
             max_learnt: 0.0,
             num_original_clauses: 0,
             unsat_core: Vec::new(),
+            assumed: Vec::new(),
             clause_buf: Vec::new(),
-            last_model: None,
             interrupt: None,
         }
     }
@@ -313,13 +320,17 @@ impl Solver {
     /// Adds a clause. Returns `false` if the clause database became
     /// unsatisfiable at the top level.
     ///
-    /// Clauses may only be added between `solve` calls (the solver is always
-    /// at decision level 0 at that point).
+    /// Clauses are added between `solve` calls, while the trail may still
+    /// hold the assumption levels the last call kept. The clause is
+    /// simplified against top-level (decision level 0) values only. A unit
+    /// clause backtracks to level 0 and propagates there; a longer one that
+    /// the kept levels leave with fewer than two unfalsified literals
+    /// backtracks just far enough to watch two, so no kept level misses a
+    /// propagation.
     pub fn add_clause<I>(&mut self, lits: I) -> bool
     where
         I: IntoIterator<Item = Lit>,
     {
-        debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
             return false;
         }
@@ -347,7 +358,7 @@ impl Solver {
             if i + 1 < clause.len() && clause[i + 1] == !lit {
                 return true; // tautology: p ∨ ¬p
             }
-            match self.lit_value(lit) {
+            match self.top_level_value(lit) {
                 LBool::True => return true, // clause already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
                 LBool::Undef => {
@@ -356,13 +367,14 @@ impl Solver {
                 }
             }
         }
-        let simplified = &clause[..kept];
+        let simplified = &mut clause[..kept];
         match simplified.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
+                self.cancel_until(0);
                 self.unchecked_enqueue(simplified[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
@@ -370,12 +382,40 @@ impl Solver {
                 self.ok
             }
             _ => {
+                if self.decision_level() > 0 {
+                    self.watch_unfalsified(simplified);
+                }
                 let cref = self.db.add(simplified, false);
                 self.num_original_clauses += 1;
                 self.attach_clause(cref);
                 true
             }
         }
+    }
+
+    /// Moves two literals the trail does not falsify to the front of
+    /// `clause`, where the watches go. When fewer than two exist, it first
+    /// moves the falsified literals of the highest levels there and
+    /// backtracks to just below the lower of their levels, which unassigns
+    /// both watches. Every literal of `clause` is unassigned at level 0.
+    fn watch_unfalsified(&mut self, clause: &mut [Lit]) {
+        let mut free = 0;
+        for i in 0..clause.len() {
+            if self.lit_value(clause[i]) != LBool::False {
+                clause.swap(free, i);
+                free += 1;
+                if free == 2 {
+                    return;
+                }
+            }
+        }
+        for slot in free..2 {
+            let latest = (slot..clause.len())
+                .max_by_key(|&i| self.level[clause[i].var().index()])
+                .expect("a clause of two or more literals");
+            clause.swap(slot, latest);
+        }
+        self.cancel_until(self.level[clause[1].var().index()] - 1);
     }
 
     fn attach_clause(&mut self, cref: ClauseRef) {
@@ -397,6 +437,16 @@ impl Solver {
             v.negate()
         } else {
             v
+        }
+    }
+
+    /// The value of `lit` at decision level 0: what the clause database
+    /// implies on its own, whatever the kept assumption levels assign.
+    fn top_level_value(&self, lit: Lit) -> LBool {
+        if self.level[lit.var().index()] == 0 {
+            self.lit_value(lit)
+        } else {
+            LBool::Undef
         }
     }
 
@@ -842,6 +892,13 @@ impl Solver {
     /// returns a subset of the assumptions that is already unsatisfiable
     /// together with the clause database (the *final conflict*).
     ///
+    /// The call keeps the trail's assumption levels for the next one: a
+    /// satisfiable call backtracks to the level of its last assumption, and
+    /// a call that fails on an assumption keeps its trail as it stands. The
+    /// next call then backtracks only to the longest prefix its assumptions
+    /// share with this call's, so a caller that edits the tail of its list
+    /// (as core-guided MaxSAT does) re-propagates only the edited part.
+    ///
     /// When an [`InterruptHook`] is installed ([`Solver::set_interrupt`]) and
     /// fires mid-search, the call returns [`SolveResult::Interrupted`] with
     /// the trail fully backtracked; learnt clauses, activities and phases are
@@ -855,13 +912,23 @@ impl Solver {
         }
         self.stats.solve_calls += 1;
         self.unsat_core.clear();
-        self.last_model = None;
         if !self.ok {
             return SolveResult::Unsat;
         }
         for lit in assumptions {
             self.ensure_vars(lit.var().index() + 1);
         }
+        // Keep the levels of the assumptions this call shares with the last.
+        let shared = self
+            .assumed
+            .iter()
+            .zip(assumptions)
+            .take_while(|(kept, lit)| kept == lit)
+            .count();
+        self.cancel_until(shared as u32);
+        debug_assert!(self.levels_hold(assumptions));
+        self.assumed.clear();
+        self.assumed.extend_from_slice(assumptions);
         if self.max_learnt <= 0.0 {
             self.max_learnt = (self.num_original_clauses as f64 * LEARNTSIZE_FACTOR).max(1000.0);
         }
@@ -882,22 +949,31 @@ impl Solver {
                 }
             }
         };
-        let outcome = if result {
-            let values: Vec<bool> = (0..self.num_vars())
-                .map(|i| match self.assigns[i] {
-                    LBool::True => true,
-                    LBool::False => false,
-                    LBool::Undef => self.phase[i],
-                })
-                .collect();
-            let model = Model { values };
-            self.last_model = Some(model.clone());
-            SolveResult::Sat(model)
-        } else {
-            SolveResult::Unsat
-        };
-        self.cancel_until(0);
-        outcome
+        if !result {
+            // A failed assumption leaves its trail for the next call, and a
+            // top-level conflict leaves none.
+            return SolveResult::Unsat;
+        }
+        let values: Vec<bool> = (0..self.num_vars())
+            .map(|i| match self.assigns[i] {
+                LBool::True => true,
+                LBool::False => false,
+                LBool::Undef => self.phase[i],
+            })
+            .collect();
+        self.cancel_until(assumptions.len() as u32);
+        SolveResult::Sat(Model { values })
+    }
+
+    /// Whether each decision level on the trail holds its assumption: as the
+    /// level's decision, or as nothing when the assumption was already true.
+    fn levels_hold(&self, assumptions: &[Lit]) -> bool {
+        (1..=self.decision_level()).all(|level| {
+            let p = assumptions[level as usize - 1];
+            let start = self.trail_lim[level as usize - 1];
+            self.lit_value(p) == LBool::True
+                && (self.level[p.var().index()] < level || self.trail.get(start) == Some(&p))
+        })
     }
 
     /// The final conflict of the last failed `solve_with_assumptions` call:
@@ -906,14 +982,11 @@ impl Solver {
         &self.unsat_core
     }
 
-    /// The model of the last successful solve call, if any.
-    pub fn last_model(&self) -> Option<&Model> {
-        self.last_model.as_ref()
-    }
-
     /// Checks the internal watch/reason/arena invariants, panicking on any
-    /// violation. Used by the compaction regression tests; O(total
-    /// literals), so never called on the hot path.
+    /// violation: among them, that the trail kept between calls misses no
+    /// propagation (no live clause is falsified or unit under it). Used by
+    /// the regression tests; O(total literals), so never called on the hot
+    /// path.
     #[doc(hidden)]
     pub fn assert_integrity(&self) {
         for cref in self.db.refs() {
@@ -922,6 +995,17 @@ impl Solver {
             }
             let lits = self.db.lits(cref);
             assert!(lits.len() >= 2, "attached clauses have at least 2 literals");
+            if self.ok {
+                let mut unfalsified = lits
+                    .iter()
+                    .map(|&lit| self.lit_value(lit))
+                    .filter(|&value| value != LBool::False);
+                let first = unfalsified.next();
+                assert!(
+                    unfalsified.next().is_some() || first == Some(LBool::True),
+                    "clause {cref:?} is falsified or unit under the trail"
+                );
+            }
             for watched in &lits[..2] {
                 assert!(
                     self.watches[(!*watched).code()]
@@ -1355,7 +1439,6 @@ mod tests {
         let probe = Arc::clone(&flag);
         s.set_interrupt(Some(Arc::new(move || probe.load(Ordering::Relaxed))));
         assert_eq!(s.solve(), SolveResult::Interrupted);
-        assert!(s.last_model().is_none());
         assert!(s.is_ok(), "an interrupted call proves nothing");
         // Clearing the request lets the same solver finish the call.
         flag.store(false, Ordering::Relaxed);
@@ -1368,6 +1451,159 @@ mod tests {
         );
         flag.store(false, Ordering::Relaxed);
         assert!(s.solve_with_assumptions(&[neg(0)]).is_sat());
+    }
+
+    /// The kept trail changes no answer. Random sessions edit their
+    /// assumption list the way core-guided MaxSAT does (drop members, append
+    /// a literal of a fresh variable) and add clauses between calls, some of
+    /// them falsified or unit under the kept levels, or unit at the top
+    /// level. Every answer is checked against a fresh solver that holds the
+    /// same clauses.
+    #[test]
+    fn kept_trail_answers_match_a_fresh_solver() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn fresh(clauses: &[Vec<Lit>], assumptions: &[Lit]) -> SolveResult {
+            let mut solver = Solver::new();
+            for clause in clauses {
+                solver.add_clause(clause.iter().copied());
+            }
+            solver.solve_with_assumptions(assumptions)
+        }
+        fn random_lit(rng: &mut StdRng, num_vars: usize) -> Lit {
+            Lit::new(
+                Var::from_index(rng.gen_range(0..num_vars)),
+                rng.gen_bool(0.5),
+            )
+        }
+        let mut rng = StdRng::seed_from_u64(28);
+        let num_vars = 30;
+        let (mut sat, mut unsat, mut kept_calls, mut backtracking_adds) = (0, 0, 0, 0);
+        for session in 0..40 {
+            let mut s = Solver::new();
+            s.ensure_vars(num_vars);
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for _ in 0..60 {
+                clauses.push((0..3).map(|_| random_lit(&mut rng, num_vars)).collect());
+                s.add_clause(clauses.last().unwrap().iter().copied());
+            }
+            let mut assumptions: Vec<Lit> =
+                (0..12).map(|_| random_lit(&mut rng, num_vars)).collect();
+            for call in 0..30 {
+                let shared = s
+                    .assumed
+                    .iter()
+                    .zip(&assumptions)
+                    .take_while(|(kept, lit)| kept == lit)
+                    .count();
+                kept_calls += usize::from(shared.min(s.decision_level() as usize) > 0);
+                let result = s.solve_with_assumptions(&assumptions);
+                s.assert_integrity();
+                let context = format!("session {session} call {call}");
+                assert_eq!(
+                    result.is_sat(),
+                    fresh(&clauses, &assumptions).is_sat(),
+                    "{context}"
+                );
+                let core = s.unsat_core().to_vec();
+                match &result {
+                    SolveResult::Sat(model) => {
+                        sat += 1;
+                        for clause in &clauses {
+                            assert!(clause.iter().any(|&l| model.lit_value(l)), "{context}");
+                        }
+                        assert!(assumptions.iter().all(|&l| model.lit_value(l)), "{context}");
+                    }
+                    SolveResult::Unsat => {
+                        unsat += 1;
+                        assert!(core.iter().all(|l| assumptions.contains(l)), "{context}");
+                        assert_eq!(fresh(&clauses, &core), SolveResult::Unsat, "{context}");
+                    }
+                    SolveResult::Interrupted => panic!("no interrupt installed"),
+                }
+                if !s.is_ok() {
+                    break;
+                }
+                // Edit the list as OLL does: a core loses a member, any
+                // member may go, and a fresh variable's literal joins last,
+                // tied to two core members by a new clause.
+                if !core.is_empty() {
+                    let member = core[rng.gen_range(0..core.len())];
+                    assumptions.retain(|&lit| lit != member);
+                }
+                assumptions.retain(|_| !rng.gen_bool(0.05));
+                let sum = Lit::new(s.new_var(), rng.gen_bool(0.5));
+                if core.len() >= 2 {
+                    clauses.push(vec![core[0], core[1], !sum]);
+                    s.add_clause(clauses.last().unwrap().iter().copied());
+                }
+                assumptions.push(sum);
+                // Between calls: a clause the kept levels falsify, one they
+                // leave unit, a top-level unit, or a random 3-clause.
+                let above_top = s.trail_lim.first().map_or(s.trail.len(), |&start| start);
+                let falsified: Vec<Lit> = s.trail[above_top..].iter().map(|&l| !l).collect();
+                let pick = |rng: &mut StdRng| falsified[rng.gen_range(0..falsified.len())];
+                let clause = match rng.gen_range(0..6) {
+                    0 | 1 if falsified.len() >= 2 => vec![pick(&mut rng), pick(&mut rng)],
+                    2 | 3 if !falsified.is_empty() => {
+                        let mut clause = vec![pick(&mut rng), pick(&mut rng)];
+                        clause.push(random_lit(&mut rng, s.num_vars()));
+                        clause
+                    }
+                    4 if rng.gen_bool(0.3) => vec![random_lit(&mut rng, s.num_vars())],
+                    _ => (0..3).map(|_| random_lit(&mut rng, s.num_vars())).collect(),
+                };
+                let level = s.decision_level();
+                s.add_clause(clause.iter().copied());
+                clauses.push(clause);
+                backtracking_adds += usize::from(s.decision_level() < level);
+                s.assert_integrity();
+            }
+        }
+        assert!(sat > 300 && unsat > 300, "{sat} SAT, {unsat} UNSAT");
+        assert!(
+            kept_calls > 400,
+            "{kept_calls} calls started on kept levels"
+        );
+        assert!(
+            backtracking_adds > 400,
+            "{backtracking_adds} clauses backtracked"
+        );
+    }
+
+    /// A call that shares its assumption prefix with a failed call starts on
+    /// that call's trail: the implication chain the first assumption walks
+    /// is not walked again.
+    #[test]
+    fn a_shared_assumption_prefix_is_not_propagated_again() {
+        let n = 50;
+        let mut s = Solver::new();
+        s.ensure_vars(n + 1);
+        for i in 0..n - 1 {
+            s.add_clause([neg(i), pos(i + 1)]);
+        }
+        let before = *s.stats();
+        assert_eq!(
+            s.solve_with_assumptions(&[pos(0), neg(n - 1)]),
+            SolveResult::Unsat
+        );
+        let failed = s.stats().delta_since(&before);
+        let before = *s.stats();
+        assert!(s.solve_with_assumptions(&[pos(0), pos(n)]).is_sat());
+        let resumed = s.stats().delta_since(&before);
+        assert!(
+            resumed.propagations < failed.propagations,
+            "{} propagations after a shared prefix, {} in the failed call",
+            resumed.propagations,
+            failed.propagations
+        );
+        // The satisfiable call keeps both assumption levels, and a list that
+        // shares nothing starts from level 0.
+        assert_eq!(s.decision_level(), 2);
+        assert!(s.solve_with_assumptions(&[neg(n - 1)]).is_sat());
+        assert_eq!(s.decision_level(), 1);
+        s.assert_integrity();
     }
 
     #[test]
